@@ -1,10 +1,10 @@
 #include "partition/initial_partition.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 
 #include "graph/graph_metrics.hpp"
-#include "partition/refine_bisection.hpp"
 
 namespace cpart {
 
@@ -119,19 +119,23 @@ std::vector<idx_t> grow_from(const CsrGraph& g, idx_t seed,
 
 std::vector<idx_t> initial_bisection(const CsrGraph& g, double left_fraction,
                                      double epsilon, int tries,
-                                     int refine_passes, Rng& rng) {
+                                     int refine_passes, Rng& rng,
+                                     FmWorkspace* workspace) {
   const idx_t n = g.num_vertices();
   require(n > 0, "initial_bisection: empty graph");
   require(left_fraction > 0.0 && left_fraction < 1.0,
           "initial_bisection: left_fraction must be in (0, 1)");
 
+  std::optional<FmWorkspace> own;
+  if (workspace == nullptr) workspace = &own.emplace();
   std::vector<idx_t> best;
   double best_viol = 0;
   wgt_t best_cut = 0;
   for (int t = 0; t < std::max(1, tries); ++t) {
     const idx_t seed = rng.uniform_int(n);
     std::vector<idx_t> part = grow_from(g, seed, left_fraction);
-    fm_refine_bisection(g, part, left_fraction, epsilon, refine_passes, rng);
+    fm_refine_bisection(g, part, left_fraction, epsilon, refine_passes, rng,
+                        workspace);
     const double viol = bisection_violation(g, part, left_fraction, epsilon);
     const wgt_t cut = edge_cut(g, part);
     if (best.empty() || viol < best_viol - 1e-12 ||

@@ -10,12 +10,15 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
+#include "partition/refine_bisection.hpp"
 #include "util/rng.hpp"
 
 namespace cpart {
 
+/// `workspace` (optional) is the FM scratch memory the attempts share.
 std::vector<idx_t> initial_bisection(const CsrGraph& g, double left_fraction,
                                      double epsilon, int tries,
-                                     int refine_passes, Rng& rng);
+                                     int refine_passes, Rng& rng,
+                                     FmWorkspace* workspace = nullptr);
 
 }  // namespace cpart

@@ -15,10 +15,12 @@ namespace cpart {
 
 namespace {
 
+/// `fm` is the FM scratch memory shared by the initial tries and every
+/// level (and, through recursive_bisect, by every bisection of the tree).
 std::vector<idx_t> multilevel_bisect(const CsrGraph& g, double left_fraction,
                                      double epsilon,
-                                     const PartitionOptions& options,
-                                     Rng& rng) {
+                                     const PartitionOptions& options, Rng& rng,
+                                     FmWorkspace& fm) {
   CoarsenOptions copts;
   copts.parallel_threshold = options.coarsen_parallel_threshold;
   // Coarsening chain: chain[i] maps graph_i -> graph_{i+1}; graph_0 is g.
@@ -35,7 +37,7 @@ std::vector<idx_t> multilevel_bisect(const CsrGraph& g, double left_fraction,
 
   std::vector<idx_t> part =
       initial_bisection(*cur, left_fraction, epsilon, options.initial_tries,
-                        options.refine_passes, rng);
+                        options.refine_passes, rng, &fm);
 
   for (std::size_t i = chain.size(); i-- > 0;) {
     const CsrGraph& fine = (i == 0) ? g : chain[i - 1].coarse;
@@ -46,7 +48,7 @@ std::vector<idx_t> multilevel_bisect(const CsrGraph& g, double left_fraction,
           part[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     });
     fm_refine_bisection(fine, fine_part, left_fraction, epsilon,
-                        options.refine_passes, rng);
+                        options.refine_passes, rng, &fm);
     part = std::move(fine_part);
   }
   return part;
@@ -105,7 +107,7 @@ Subgraph induce_side(const CsrGraph& g, std::span<const idx_t> part01,
 void recursive_bisect(const CsrGraph& g, std::span<const idx_t> parent,
                       idx_t k, idx_t first_part, double epsilon_per_level,
                       const PartitionOptions& options, Rng& rng,
-                      std::vector<idx_t>& out) {
+                      FmWorkspace& fm, std::vector<idx_t>& out) {
   if (k == 1) {
     for (idx_t v = 0; v < g.num_vertices(); ++v) {
       out[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])] =
@@ -117,7 +119,7 @@ void recursive_bisect(const CsrGraph& g, std::span<const idx_t> parent,
   const double fraction =
       static_cast<double>(k_left) / static_cast<double>(k);
   const std::vector<idx_t> part01 =
-      multilevel_bisect(g, fraction, epsilon_per_level, options, rng);
+      multilevel_bisect(g, fraction, epsilon_per_level, options, rng, fm);
 
   for (idx_t side = 0; side < 2; ++side) {
     Subgraph sub = induce_side(g, part01, side);
@@ -128,7 +130,7 @@ void recursive_bisect(const CsrGraph& g, std::span<const idx_t> parent,
     const idx_t sub_k = (side == 0) ? k_left : k - k_left;
     const idx_t sub_first = (side == 0) ? first_part : first_part + k_left;
     recursive_bisect(sub.graph, sub.parent, sub_k, sub_first,
-                     epsilon_per_level, options, rng, out);
+                     epsilon_per_level, options, rng, fm, out);
   }
 }
 
@@ -140,7 +142,8 @@ std::vector<idx_t> bisect_graph(const CsrGraph& g, double left_fraction,
   require(g.num_vertices() > 0, "bisect_graph: empty graph");
   require(left_fraction > 0.0 && left_fraction < 1.0,
           "bisect_graph: left_fraction must be in (0, 1)");
-  return multilevel_bisect(g, left_fraction, epsilon, options, rng);
+  FmWorkspace fm;
+  return multilevel_bisect(g, left_fraction, epsilon, options, rng, fm);
 }
 
 std::vector<idx_t> partition_graph(const CsrGraph& g,
@@ -164,7 +167,8 @@ std::vector<idx_t> partition_graph(const CsrGraph& g,
 
   std::vector<idx_t> parent(static_cast<std::size_t>(n));
   for (idx_t v = 0; v < n; ++v) parent[static_cast<std::size_t>(v)] = v;
-  recursive_bisect(g, parent, k, 0, eps_level, options, rng, part);
+  FmWorkspace fm;
+  recursive_bisect(g, parent, k, 0, eps_level, options, rng, fm, part);
 
   if (options.kway_passes > 0) {
     KwayRefineOptions kro;
