@@ -1,18 +1,18 @@
-// Benchmark of the SPMD rank/exchange contact pipeline against the retained
-// centralized reference implementation.
+// Benchmark of the SPMD MCML+DT step (DistributedSim) against its retained
+// centralized oracle.
 //
-// For each thread count, every snapshot is processed twice by one
-// ContactPipeline instance:
-//   * reference — run_step_reference, the centralized pre-refactor step
-//     (serial; descriptor queries and local searches run on one thread and
-//     traffic is accounted analytically);
-//   * spmd — run_step, k rank programs executing the same four phases
-//     concurrently on the thread pool, moving real payloads through the
-//     exchange.
+// For each thread count, two identically configured DistributedSim
+// instances drive the same snapshot sequence:
+//   * reference — run_step_reference, the centralized step over gathered
+//     global state (serial; traffic is accounted analytically);
+//   * spmd — run_step, k rank programs moving real payloads through the
+//     exchange, repartitioning + migrating live state every
+//     --repart_period steps.
 // Every step cross-checks the two flavors — merged events, per-rank event
-// counts, per-processor traffic, and broadcast bytes must be bit-identical —
-// and the binary exits nonzero on any divergence, so a speedup can never
-// come from computing something different.
+// counts, per-processor traffic, migration accounting and the ownership
+// hash must be bit-identical — and the binary exits nonzero on any
+// divergence, so a speedup can never come from computing something
+// different.
 //
 //   ./bench_spmd [--resolution 1.0] [--snapshots 20] [--k 25]
 //                [--threads 1,2,4,8] [--stride 1] [--out BENCH_spmd.json]
@@ -21,17 +21,10 @@
 //                [--checkpoint_dir bench_spmd_ckpt] [--kill_rank -1]
 //                [--kill_step -1]
 //
-// JSON output: {"env": {...}, "results": [{threads, reference_mean_ms,
-// spmd_mean_ms, speedup, health: {...per-channel counters...},
-// steps: [{..., phase_ms: {descriptor: [per rank], ...},
-// bytes: {halo, faces, descriptor}}]}]}, steady state = steps >= 1.
-//
-// Each thread count also drives the rank-owned DistributedSim (one SPMD
-// instance against one centralized-oracle instance) over the same snapshot
-// sequence, repartitioning + migrating live state every --repart_period
-// steps. Its timings, migration accounting (repart_moved_nodes/elements,
-// migration/label bytes), and cross-checked equivalence land in a
-// "distributed" object per result record.
+// JSON output: {"env": {...}, "results": [{threads, nodes, k, equivalent,
+// distributed: {reference_mean_ms, spmd_mean_ms, speedup, migration
+// accounting, health: {...per-channel counters...}, steps: [...]}}],
+// "scaling": {...}, "recovery": {...}}; steady state = steps >= 1.
 //
 // --fault_rate > 0 arms the seeded FaultInjector on the exchange, which
 // exercises the checksummed retry path; events must STILL be bit-identical
@@ -51,7 +44,6 @@
 
 #include "bench_env.hpp"
 #include "core/distributed_sim.hpp"
-#include "core/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
@@ -63,24 +55,6 @@
 using namespace cpart;
 
 namespace {
-
-bool reports_identical(const PipelineStepReport& a,
-                       const PipelineStepReport& b) {
-  if (a.events.size() != b.events.size()) return false;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const ContactEvent& x = a.events[i];
-    const ContactEvent& y = b.events[i];
-    if (x.node != y.node || x.face != y.face || x.distance != y.distance ||
-        x.signed_distance != y.signed_distance) {
-      return false;
-    }
-  }
-  return a.events_per_processor == b.events_per_processor &&
-         a.fe_exchange == b.fe_exchange &&
-         a.search_exchange == b.search_exchange &&
-         a.descriptor_tree_nodes == b.descriptor_tree_nodes &&
-         a.descriptor_broadcast_bytes == b.descriptor_broadcast_bytes;
-}
 
 bool distributed_reports_identical(const DistributedStepReport& a,
                                    const DistributedStepReport& b) {
@@ -104,15 +78,6 @@ bool distributed_reports_identical(const DistributedStepReport& a,
          a.migration_payload_bytes == b.migration_payload_bytes &&
          a.label_broadcast_bytes == b.label_broadcast_bytes &&
          a.ownership_hash == b.ownership_hash;
-}
-
-void json_array(std::ostream& os, const std::vector<double>& v) {
-  os << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << v[i];
-  }
-  os << "]";
 }
 
 void health_json(std::ostream& os, const PipelineHealth& h) {
@@ -166,8 +131,6 @@ int main(int argc, char** argv) {
   flags.define("max_attempts", "4", "delivery attempts per superstep");
   flags.define("repart_period", "8",
                "distributed run: repartition + migrate every N steps (0 = off)");
-  flags.define("format", "binary",
-               "descriptor wire format for the broadcast: text|binary");
   flags.define("checkpoint_period", "10",
                "recovery probe: durable checkpoint every N steps (0 = skip "
                "the probe)");
@@ -180,12 +143,6 @@ int main(int argc, char** argv) {
                "mid-way through a checkpoint period so replay is nonempty)");
   try {
     flags.parse(argc, argv);
-    const std::string format_name = flags.get_string("format");
-    require(format_name == "text" || format_name == "binary",
-            "--format must be text or binary");
-    const TreeWireFormat wire_format = format_name == "binary"
-                                           ? TreeWireFormat::kBinary
-                                           : TreeWireFormat::kText;
     const double resolution = flags.get_double("resolution");
     const idx_t snapshots = static_cast<idx_t>(flags.get_int("snapshots"));
     const idx_t stride = static_cast<idx_t>(flags.get_int("stride"));
@@ -219,157 +176,89 @@ int main(int argc, char** argv) {
     const real_t cell = sim_config.plate_width /
                         static_cast<real_t>(sim_config.plate_cells_xy);
 
-    PipelineConfig config;
-    config.decomposition.k = k;
-    config.search.search_margin = 0.5 * cell;
-    config.search.contact_tolerance = 0.25 * cell;
-    config.wire_format = wire_format;
+    DistributedSimConfig dconfig;
+    dconfig.decomposition.k = k;
+    dconfig.search.search_margin = 0.5 * cell;
+    dconfig.search.contact_tolerance = 0.25 * cell;
+    dconfig.repartition_period = repart_period;
 
-    std::vector<int> body(
-        static_cast<std::size_t>(sim.initial_mesh().num_nodes()));
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      body[i] = static_cast<int>(sim.node_body()[i]);
-    }
-
-    std::cout << "SPMD contact pipeline: " << sim.initial_mesh().num_nodes()
+    std::cout << "SPMD contact step: " << sim.initial_mesh().num_nodes()
               << " nodes, " << sim.num_snapshots() << " snapshots, k=" << k
               << "\n\n";
 
-    const ImpactSim::Snapshot snap0 = sim.snapshot(0);
-
-    // Wire-codec A/B microbenchmark on snapshot 0's descriptor tree, so the
-    // codec win is quantified in the JSON rather than asserted: encode and
-    // decode cost per tree, and the broadcast bytes before/after.
-    std::ostringstream wire_json;
-    {
-      McmlDtPartitioner wire_part(snap0.mesh, snap0.surface,
-                                  config.decomposition);
-      const SubdomainDescriptors wire_desc =
-          wire_part.build_descriptors(snap0.mesh, snap0.surface);
-      const std::string text_wire =
-          encode_tree(wire_desc.tree(), TreeWireFormat::kText);
-      const std::string binary_wire =
-          encode_tree(wire_desc.tree(), TreeWireFormat::kBinary);
-      constexpr int kCodecIters = 50;
-      const auto per_tree_ns = [](Timer& timer) {
-        return timer.milliseconds() * 1e6 / kCodecIters;
-      };
-      std::size_t sink = 0;
-      Timer timer;
-      for (int i = 0; i < kCodecIters; ++i) {
-        sink += encode_tree(wire_desc.tree(), TreeWireFormat::kText).size();
-      }
-      const double text_encode_ns = per_tree_ns(timer);
-      timer.reset();
-      for (int i = 0; i < kCodecIters; ++i) {
-        sink += encode_tree(wire_desc.tree(), TreeWireFormat::kBinary).size();
-      }
-      const double binary_encode_ns = per_tree_ns(timer);
-      timer.reset();
-      for (int i = 0; i < kCodecIters; ++i) {
-        sink += static_cast<std::size_t>(decode_tree(text_wire).num_nodes());
-      }
-      const double text_decode_ns = per_tree_ns(timer);
-      timer.reset();
-      for (int i = 0; i < kCodecIters; ++i) {
-        sink += static_cast<std::size_t>(decode_tree(binary_wire).num_nodes());
-      }
-      const double binary_decode_ns = per_tree_ns(timer);
-      require(sink > 0, "codec microbenchmark produced nothing");
-      wire_json << "{\"format\": \"" << format_name
-                << "\", \"tree_nodes\": " << wire_desc.num_tree_nodes()
-                << ", \"text_bytes\": " << text_wire.size()
-                << ", \"binary_bytes\": " << binary_wire.size()
-                << ",\n  \"text_encode_ns\": " << text_encode_ns
-                << ", \"binary_encode_ns\": " << binary_encode_ns
-                << ", \"text_decode_ns\": " << text_decode_ns
-                << ", \"binary_decode_ns\": " << binary_decode_ns << "}";
-      std::cout << "wire codec: " << wire_desc.num_tree_nodes() << " nodes, "
-                << text_wire.size() << " B text -> " << binary_wire.size()
-                << " B binary\n\n";
-    }
-
-    Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup",
-                 "dist_ref_ms/step", "dist_spmd_ms/step", "dist_speedup"});
+    Table table({"threads", "reference_ms/step", "spmd_ms/step", "speedup"});
     std::ostringstream json;
-    json << "{\"env\": " << cpart::bench::env_json() << ",\n \"wire\": "
-         << wire_json.str() << ",\n \"results\": [\n";
+    json << "{\"env\": " << cpart::bench::env_json() << ",\n \"results\": [\n";
     bool first_record = true;
     bool all_equal = true;
     // (threads, mean spmd ms) per row, for the scaling-slope summary.
-    std::vector<std::pair<unsigned, double>> spmd_rows;
-    std::vector<std::pair<unsigned, double>> dist_rows;
+    std::vector<std::pair<unsigned, double>> rows;
 
     for (unsigned t : thread_counts) {
       ThreadPool::set_global_threads(t);
-      ContactPipeline pipeline(snap0.mesh, snap0.surface, config);
-      pipeline.exchange().set_retry_policy(retry);
+      // Both flavors mutate rank state, so the SPMD instance and the
+      // centralized oracle are two instances driven in lockstep.
+      DistributedSim dist(sim, dconfig);
+      DistributedSim oracle(sim, dconfig);
+      dist.exchange().set_retry_policy(retry);
       std::optional<FaultInjector> injector;
       if (fault_rate > 0) {
         FaultConfig fc;
         fc.seed = fault_seed;
         fc.cell_fault_probability = fault_rate;
         injector.emplace(fc);
-        pipeline.exchange().set_fault_injector(&*injector);
+        dist.exchange().set_fault_injector(&*injector);
       }
-      PipelineHealth run_health;
+      PipelineHealth health;
       std::ostringstream steps_json;
-      double ref_sum = 0, spmd_sum = 0;  // steady state: steps >= 1
+      double ref_sum = 0, spmd_sum = 0;
       idx_t steady_steps = 0;
+      idx_t migration_steps = 0;
+      wgt_t moved_nodes = 0, moved_elements = 0;
+      wgt_t migration_bytes = 0, label_bytes = 0;
       bool first_step = true;
 
       for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
-        const ImpactSim::Snapshot snap = sim.snapshot(s);
-
         Timer timer;
-        const PipelineStepReport ref =
-            pipeline.run_step_reference(snap.mesh, snap.surface, body);
+        const DistributedStepReport ref = oracle.run_step_reference(s);
         const double ref_ms = timer.milliseconds();
 
         timer.reset();
-        const PipelineStepReport spmd =
-            pipeline.run_step(snap.mesh, snap.surface, body);
+        const DistributedStepReport got = dist.run_step(s);
         const double spmd_ms = timer.milliseconds();
 
-        run_health += spmd.health;
-
-        if (!reports_identical(spmd, ref)) {
+        health += got.health;
+        if (!distributed_reports_identical(got, ref)) {
           std::cerr << "EQUIVALENCE FAILURE at step " << s << ", threads " << t
                     << "\n";
           all_equal = false;
         }
-
         if (s > 0) {
           ref_sum += ref_ms;
           spmd_sum += spmd_ms;
           ++steady_steps;
         }
+        migration_steps += got.migrated ? 1 : 0;
+        moved_nodes += got.repart_moved_nodes;
+        moved_elements += got.repart_moved_elements;
+        migration_bytes += got.migration_payload_bytes;
+        label_bytes += got.label_broadcast_bytes;
+
         if (!first_step) steps_json << ",\n";
         first_step = false;
         steps_json << "    {\"step\": " << s << ", \"reference_ms\": " << ref_ms
                    << ", \"spmd_ms\": " << spmd_ms
-                   << ", \"events\": " << spmd.contact_events
+                   << ", \"events\": " << got.contact_events
                    << ", \"bytes\": {\"descriptor\": "
-                   << spmd.descriptor_broadcast_bytes
-                   << ", \"halo\": " << spmd.halo_payload_bytes
-                   << ", \"faces\": " << spmd.face_payload_bytes
-                   << "},\n     \"phase_ms\": {\"descriptor\": ";
-        json_array(steps_json, spmd.phase.descriptor_ms);
-        steps_json << ", \"halo\": ";
-        json_array(steps_json, spmd.phase.halo_ms);
-        steps_json << ", \"ship\": ";
-        json_array(steps_json, spmd.phase.ship_ms);
-        steps_json << ", \"search\": ";
-        json_array(steps_json, spmd.phase.search_ms);
-        // Per-rank readiness-wait time preceding each consuming phase of
-        // the dependency-driven run (the halo phase reads nothing).
-        steps_json << "},\n     \"wait\": {\"descriptor\": ";
-        json_array(steps_json, spmd.phase.descriptor_wait_ms);
-        steps_json << ", \"ship\": ";
-        json_array(steps_json, spmd.phase.ship_wait_ms);
-        steps_json << ", \"search\": ";
-        json_array(steps_json, spmd.phase.search_wait_ms);
-        steps_json << "}}";
+                   << got.descriptor_broadcast_bytes
+                   << ", \"halo\": " << got.halo_payload_bytes
+                   << ", \"faces\": " << got.face_payload_bytes << "}"
+                   << ", \"migrated\": " << (got.migrated ? "true" : "false")
+                   << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
+                   << ", \"repart_moved_elements\": "
+                   << got.repart_moved_elements
+                   << ", \"migration_bytes\": " << got.migration_payload_bytes
+                   << ", \"label_bytes\": " << got.label_broadcast_bytes << "}";
       }
 
       const double ns = static_cast<double>(std::max<idx_t>(steady_steps, 1));
@@ -377,154 +266,51 @@ int main(int argc, char** argv) {
       const double spmd_mean = spmd_sum / ns;
       const double speedup = ref_mean / std::max(spmd_mean, 1e-9);
 
-      // Rank-owned distributed flavor over the same sequence: one SPMD
-      // instance against one centralized-oracle instance (both flavors
-      // mutate rank state, so they cannot share an instance the way the
-      // snapshot-driven pipeline does).
-      std::ostringstream dist_json;
-      double dist_ref_mean = 0;
-      double dist_spmd_mean = 0;
-      double dist_speedup = 0;
-      {
-        DistributedSimConfig dconfig;
-        dconfig.decomposition = config.decomposition;
-        dconfig.search = config.search;
-        dconfig.wire_format = wire_format;
-        dconfig.repartition_period = repart_period;
-        DistributedSim dist(sim, dconfig);
-        DistributedSim oracle(sim, dconfig);
-        dist.exchange().set_retry_policy(retry);
-        std::optional<FaultInjector> dist_injector;
-        if (fault_rate > 0) {
-          FaultConfig fc;
-          fc.seed = fault_seed;
-          fc.cell_fault_probability = fault_rate;
-          dist_injector.emplace(fc);
-          dist.exchange().set_fault_injector(&*dist_injector);
-        }
-        PipelineHealth dist_health;
-        std::ostringstream dsteps_json;
-        double dref_sum = 0, dspmd_sum = 0;
-        idx_t dist_steady = 0;
-        idx_t migration_steps = 0;
-        wgt_t moved_nodes = 0, moved_elements = 0;
-        wgt_t migration_bytes = 0, label_bytes = 0;
-        bool dist_first_step = true;
-
-        for (idx_t s = 0; s < sim.num_snapshots(); s += stride) {
-          Timer timer;
-          const DistributedStepReport ref = oracle.run_step_reference(s);
-          const double ref_ms = timer.milliseconds();
-
-          timer.reset();
-          const DistributedStepReport got = dist.run_step(s);
-          const double spmd_ms = timer.milliseconds();
-
-          dist_health += got.health;
-          if (!distributed_reports_identical(got, ref)) {
-            std::cerr << "DISTRIBUTED EQUIVALENCE FAILURE at step " << s
-                      << ", threads " << t << "\n";
-            all_equal = false;
-          }
-          if (s > 0) {
-            dref_sum += ref_ms;
-            dspmd_sum += spmd_ms;
-            ++dist_steady;
-          }
-          migration_steps += got.migrated ? 1 : 0;
-          moved_nodes += got.repart_moved_nodes;
-          moved_elements += got.repart_moved_elements;
-          migration_bytes += got.migration_payload_bytes;
-          label_bytes += got.label_broadcast_bytes;
-
-          if (!dist_first_step) dsteps_json << ",\n";
-          dist_first_step = false;
-          dsteps_json << "    {\"step\": " << s
-                      << ", \"reference_ms\": " << ref_ms
-                      << ", \"spmd_ms\": " << spmd_ms
-                      << ", \"events\": " << got.contact_events
-                      << ", \"migrated\": " << (got.migrated ? "true" : "false")
-                      << ", \"repart_moved_nodes\": " << got.repart_moved_nodes
-                      << ", \"repart_moved_elements\": "
-                      << got.repart_moved_elements
-                      << ", \"migration_bytes\": " << got.migration_payload_bytes
-                      << ", \"label_bytes\": " << got.label_broadcast_bytes
-                      << "}";
-        }
-
-        const double dns =
-            static_cast<double>(std::max<idx_t>(dist_steady, 1));
-        dist_ref_mean = dref_sum / dns;
-        dist_spmd_mean = dspmd_sum / dns;
-        dist_speedup = dist_ref_mean / std::max(dist_spmd_mean, 1e-9);
-        dist_json << "{\"repart_period\": " << repart_period
-                  << ", \"steady_steps\": " << dist_steady
-                  << ",\n    \"reference_mean_ms\": " << dist_ref_mean
-                  << ", \"spmd_mean_ms\": " << dist_spmd_mean
-                  << ", \"speedup\": " << dist_speedup
-                  << ",\n    \"migration_steps\": " << migration_steps
-                  << ", \"repart_moved_nodes\": " << moved_nodes
-                  << ", \"repart_moved_elements\": " << moved_elements
-                  << ", \"migration_payload_bytes\": " << migration_bytes
-                  << ", \"label_broadcast_bytes\": " << label_bytes
-                  << ",\n    \"health\": ";
-        health_json(dist_json, dist_health);
-        dist_json << ",\n    \"steps\": [\n" << dsteps_json.str()
-                  << "\n    ]}";
-        if (fault_rate > 0 || !dist_health.clean()) {
-          std::cout << "threads " << t
-                    << " distributed health: " << dist_health.summary()
-                    << "\n";
-        }
-      }
-
       table.begin_row();
       table.add_cell(static_cast<long long>(t));
       table.add_cell(ref_mean, 2);
       table.add_cell(spmd_mean, 2);
       table.add_cell(speedup, 2);
-      table.add_cell(dist_ref_mean, 2);
-      table.add_cell(dist_spmd_mean, 2);
-      table.add_cell(dist_speedup, 2);
 
       if (!first_record) json << ",\n";
       first_record = false;
       json << "  {\"threads\": " << t
            << ", \"pool_threads\": " << ThreadPool::global().num_threads()
-           << ", \"format\": \"" << format_name << "\", \"nodes\": "
-           << sim.initial_mesh().num_nodes() << ", \"k\": " << k
-           << ", \"steady_steps\": " << steady_steps
-           << ",\n   \"reference_mean_ms\": " << ref_mean
-           << ", \"spmd_mean_ms\": " << spmd_mean << ", \"speedup\": " << speedup
+           << ", \"nodes\": " << sim.initial_mesh().num_nodes()
+           << ", \"k\": " << k
            << ", \"equivalent\": " << (all_equal ? "true" : "false")
-           << ",\n   \"health\": ";
-      health_json(json, run_health);
-      json << ",\n   \"distributed\": " << dist_json.str();
-      json << ",\n   \"steps\": [\n" << steps_json.str() << "\n   ]}";
-      if (fault_rate > 0 || !run_health.clean()) {
-        std::cout << "threads " << t << " health: " << run_health.summary()
+           << ",\n   \"distributed\": {\"repart_period\": " << repart_period
+           << ", \"steady_steps\": " << steady_steps
+           << ",\n    \"reference_mean_ms\": " << ref_mean
+           << ", \"spmd_mean_ms\": " << spmd_mean << ", \"speedup\": " << speedup
+           << ",\n    \"migration_steps\": " << migration_steps
+           << ", \"repart_moved_nodes\": " << moved_nodes
+           << ", \"repart_moved_elements\": " << moved_elements
+           << ", \"migration_payload_bytes\": " << migration_bytes
+           << ", \"label_broadcast_bytes\": " << label_bytes
+           << ",\n    \"health\": ";
+      health_json(json, health);
+      json << ",\n    \"steps\": [\n" << steps_json.str() << "\n    ]}}";
+      if (fault_rate > 0 || !health.clean()) {
+        std::cout << "threads " << t << " health: " << health.summary()
                   << "\n";
       }
-      spmd_rows.emplace_back(t, spmd_mean);
-      dist_rows.emplace_back(t, dist_spmd_mean);
+      rows.emplace_back(t, spmd_mean);
     }
 
-    // Scaling slope: mean speedup per thread-doubling between the smallest
-    // and largest thread rows (1.0 = perfect scaling, 0 = flat).
+    // Scaling slope of the SPMD step: mean speedup per thread-doubling
+    // between the smallest and largest thread rows (1.0 = perfect scaling,
+    // 0 = flat).
     std::ostringstream scaling_json;
     {
-      const auto& lo = spmd_rows.front();
-      const auto& hi = spmd_rows.back();
-      const double spmd_ratio = lo.second / std::max(hi.second, 1e-9);
-      const double dist_ratio =
-          dist_rows.front().second / std::max(dist_rows.back().second, 1e-9);
+      const auto& lo = rows.front();
+      const auto& hi = rows.back();
+      const double ratio = lo.second / std::max(hi.second, 1e-9);
       const double doublings =
           std::log2(std::max<double>(hi.first, 1) /
                     std::max<double>(lo.first, 1));
-      const double spmd_slope =
-          doublings > 0 ? std::log2(std::max(spmd_ratio, 1e-9)) / doublings : 0;
-      const double dist_slope =
-          doublings > 0 ? std::log2(std::max(dist_ratio, 1e-9)) / doublings : 0;
+      const double slope =
+          doublings > 0 ? std::log2(std::max(ratio, 1e-9)) / doublings : 0;
       // Efficiency normalizes the ratio by the cores the top row could use.
       // resolved_hardware_threads (not raw hardware_threads) keeps the
       // denominator nonzero when the platform reports 0 ("unknown") — it
@@ -533,22 +319,15 @@ int main(int argc, char** argv) {
           1.0, std::min<double>(
                    hi.first, cpart::bench::resolved_hardware_threads(
                                  static_cast<unsigned>(hi.first))));
-      const double spmd_efficiency = spmd_ratio / usable;
-      const double dist_efficiency = dist_ratio / usable;
       scaling_json << "{\"threads_lo\": " << lo.first
                    << ", \"threads_hi\": " << hi.first
                    << ", \"usable_threads\": " << usable
-                   << ", \"spmd_ratio\": " << spmd_ratio
-                   << ", \"spmd_slope\": " << spmd_slope
-                   << ", \"spmd_efficiency\": " << spmd_efficiency
-                   << ", \"distributed_ratio\": " << dist_ratio
-                   << ", \"distributed_slope\": " << dist_slope
-                   << ", \"distributed_efficiency\": " << dist_efficiency
+                   << ", \"distributed_ratio\": " << ratio
+                   << ", \"distributed_slope\": " << slope
+                   << ", \"distributed_efficiency\": " << ratio / usable
                    << "}";
-      std::cout << "scaling " << lo.first << "t -> " << hi.first
-                << "t: spmd " << spmd_ratio << "x (slope " << spmd_slope
-                << "/doubling), distributed " << dist_ratio << "x (slope "
-                << dist_slope << "/doubling)\n";
+      std::cout << "scaling " << lo.first << "t -> " << hi.first << "t: "
+                << ratio << "x (slope " << slope << "/doubling)\n";
     }
     // Rank-death recovery probe at the largest thread count: (1) zero-fault
     // checkpoint overhead, A/B over the same distributed run, and (2) MTTR
@@ -557,11 +336,6 @@ int main(int argc, char** argv) {
     std::ostringstream recovery_json;
     if (checkpoint_period > 0) {
       ThreadPool::set_global_threads(thread_counts.back());
-      DistributedSimConfig dconfig;
-      dconfig.decomposition = config.decomposition;
-      dconfig.search = config.search;
-      dconfig.wire_format = wire_format;
-      dconfig.repartition_period = repart_period;
 
       const auto run_all = [&](DistributedSim& dsim,
                                std::vector<DistributedStepReport>* out,

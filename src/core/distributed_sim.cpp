@@ -4,6 +4,7 @@
 #include <array>
 #include <utility>
 
+#include "parallel/thread_pool.hpp"
 #include "runtime/label_codec.hpp"
 #include "tree/tree_io.hpp"
 #include "util/timer.hpp"
@@ -83,7 +84,6 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
       partitioner_(repartitioner_config(config)),
       topo_(sim.initial_mesh()),
       exchange_(config.decomposition.k),
-      executor_(config.decomposition.k),
       async_(config.decomposition.k) {
   config_.search.validate("DistributedSim");
   require(config_.repartition_period >= 0,
@@ -439,8 +439,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // calling thread so it can fan subtrees out across the whole ThreadPool
   // (dopts.parallel — a rank program must never dispatch pool work), warmed
   // by the recycled storage of last step's tree. The broadcast payloads are
-  // the binary codecs: encode_tree for the descriptor tree, one delta-coded
-  // label blob per step instead of one message per changed node. -------------
+  // the binary codecs: tree_to_binary for the descriptor tree, one
+  // delta-coded label blob per step instead of one message per changed
+  // node. -------------------------------------------------------------------
   {
     SubdomainState& st = states_[0];
     std::vector<std::pair<idx_t, Vec3>> pts;
@@ -469,8 +470,7 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     dopts.parallel = true;
     st.descriptors.emplace(points, labels, np, dopts, &induce_ws_);
     exchange_.descriptors().broadcast(
-        0, DescriptorTreeMsg{encode_tree(st.descriptors->tree(),
-                                         config_.wire_format)});
+        0, DescriptorTreeMsg{tree_to_binary(st.descriptors->tree())});
     if (migrate) {
       for (idx_t v = 0; v < nn; ++v) {
         const auto sv = static_cast<std::size_t>(v);
@@ -757,8 +757,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
   const SubdomainDescriptors descriptors(points, labels, np, dopts);
   report.descriptor_tree_nodes = descriptors.num_tree_nodes();
   report.descriptor_broadcast_bytes =
-      static_cast<wgt_t>(
-          encode_tree(descriptors.tree(), config_.wire_format).size()) *
+      static_cast<wgt_t>(tree_to_binary(descriptors.tree()).size()) *
       std::max<wgt_t>(0, np - 1);
 
   // Repartition: computed here (where the SPMD driver computes it, from the
@@ -874,7 +873,7 @@ void DistributedSim::run_reference_body(idx_t s, bool migrate,
 
 void DistributedSim::scatter_global_state(std::span<const idx_t> owner,
                                           std::span<const wgt_t> hits) {
-  executor_.superstep([&](idx_t r) {
+  ThreadPool::global().parallel_tasks(k(), [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner.assign(owner.begin(), owner.end());
     st.contact_hits.assign(hits.begin(), hits.end());
@@ -885,7 +884,6 @@ void DistributedSim::scatter_global_state(std::span<const idx_t> owner,
 std::uint64_t DistributedSim::config_hash() const {
   std::uint64_t h = kFnvOffsetBasis;
   h = fnv1a_value(h, k());
-  h = fnv1a_value(h, static_cast<int>(config_.wire_format));
   h = fnv1a_value(h, config_.repartition_period);
   h = fnv1a_value(h, config_.repartition.seed);
   h = fnv1a_value(h, topo_.num_nodes());
@@ -923,7 +921,7 @@ bool DistributedSim::restore_from_checkpoint() {
     // unusable for this instance; treat as no checkpoint at all.
     return false;
   }
-  executor_.superstep([&](idx_t r) {
+  ThreadPool::global().parallel_tasks(k(), [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.node_owner = ck->node_owner;
     st.positions = ck->positions;
@@ -981,7 +979,7 @@ bool DistributedSim::resume() {
   // same scatter the rank-death recovery performs, minus replay (the
   // suspend commit was taken at the current step).
   states_.resize(static_cast<std::size_t>(k()));
-  executor_.superstep([&](idx_t r) {
+  ThreadPool::global().parallel_tasks(k(), [&](idx_t r) {
     SubdomainState& st = states_[static_cast<std::size_t>(r)];
     st.init(topo_, r, ck->node_owner, k());
     st.positions = ck->positions;

@@ -1,13 +1,11 @@
-// Rank-owned distributed contact simulation with live element migration.
+// Rank-owned distributed contact simulation with live element migration —
+// the SPMD driver of the MCML+DT step (paper Sections 2 and 4).
 //
-// The SPMD pipelines of core/pipeline.hpp still consume centrally generated
-// snapshots: a driver builds the deformed mesh and surface, and the ranks
-// own views into them. DistributedSim removes the central snapshot from the
-// step path entirely. Each rank holds a SubdomainState — the authoritative
-// positions and contact-hit accumulators of exactly the nodes it owns, plus
-// a ghost layer (the element closure of its owned nodes) refreshed by halo
-// exchange — and derives everything else locally against the immutable
-// MeshTopology:
+// No central snapshot enters the step path. Each rank holds a
+// SubdomainState — the authoritative positions and contact-hit accumulators
+// of exactly the nodes it owns, plus a ghost layer (the element closure of
+// its owned nodes) refreshed by halo exchange — and derives everything else
+// locally against the immutable MeshTopology:
 //   A. kinematics + halo — each rank advances its owned nodes with the
 //      closed-form ImpactSim kinematics and posts boundary positions to the
 //      ranks tracking them (the halo carries the *authoritative* values;
@@ -68,7 +66,6 @@
 #include "runtime/async_executor.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/exchange.hpp"
-#include "runtime/rank_executor.hpp"
 #include "runtime/subdomain_state.hpp"
 #include "sim/impact_sim.hpp"
 
@@ -77,10 +74,6 @@ namespace cpart {
 struct DistributedSimConfig {
   McmlDtConfig decomposition{};
   SearchConfig search{};
-  /// Wire encoding of the per-step descriptor-tree broadcast (and the
-  /// analytic byte model of the reference flavor — both switch together,
-  /// so cross-flavor byte comparisons hold in either format).
-  TreeWireFormat wire_format = TreeWireFormat::kBinary;
   /// Repartition (and migrate state) every `period` steps; 0 disables. The
   /// first eligible step is step index `period` (never the first step run).
   idx_t repartition_period = 0;
@@ -301,10 +294,9 @@ class DistributedSim {
   std::vector<int> body_of_node_;  // same-body search exclusion
   std::vector<SubdomainState> states_;
   Exchange exchange_;
-  // The step's multi-phase runs are dependency-driven (async_); the plain
-  // striped executor remains for single supersteps whose cross-rank data
-  // already moved (scatter_global_state).
-  RankExecutor executor_;
+  // The step's multi-phase runs are dependency-driven; single supersteps
+  // whose cross-rank data already moved (scatter, restore, resume) are plain
+  // ThreadPool::parallel_tasks dispatches.
   AsyncExecutor async_;
   idx_t steps_run_ = 0;
   // Driver scratch.

@@ -5,7 +5,6 @@
 
 #include "contact/search_metrics.hpp"
 #include "core/distributed_sim.hpp"
-#include "core/pipeline.hpp"
 #include "graph/graph_metrics.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -77,24 +76,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
   rcb_config.epsilon = config.epsilon;
   rcb_config.partitioner.seed = config.seed + 1;
   MlRcbPartitioner mlrcb(snap0.mesh, snap0.surface, rcb_config);
-
-  // Optional SPMD health probe: a real ContactPipeline driven over the same
-  // snapshots, with the configured fault schedule and retry budget armed on
-  // its exchange. The analytic metric sweep below is untouched by it.
-  std::optional<FaultInjector> probe_injector;
-  std::optional<ContactPipeline> probe;
-  if (config.spmd_health_probe) {
-    PipelineConfig probe_config;
-    probe_config.decomposition = dt_config;
-    probe_config.search.search_margin = margin;
-    probe_config.search.contact_tolerance = margin;
-    probe.emplace(snap0.mesh, snap0.surface, probe_config);
-    probe->exchange().set_retry_policy(config.retry);
-    if (config.fault.cell_fault_probability > 0) {
-      probe_injector.emplace(config.fault);
-      probe->exchange().set_fault_injector(&*probe_injector);
-    }
-  }
 
   // Optional rank-owned DistributedSim probe: the live-migration protocol
   // over the same snapshots, with the same fault schedule/retry budget.
@@ -203,11 +184,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
               .remote_sends;
     }
 
-    if (probe) {
-      const PipelineStepReport pr = probe->run_step(snap.mesh, snap.surface);
-      result.spmd_health += pr.health;
-      ++result.spmd_probe_steps;
-    }
     if (dist_probe) {
       const DistributedStepReport dr = dist_probe->run_step(s);
       result.distributed_health += dr.health;
@@ -257,14 +233,6 @@ ExperimentResult run_contact_experiment(const ExperimentConfig& config,
   result.scheduler = ThreadPool::global().scheduler_stats();
   result.scheduler.items_executed -= sched_start.items_executed;
   result.scheduler.gang_slots_executed -= sched_start.gang_slots_executed;
-  if (probe && progress != nullptr) {
-    *progress << "spmd health over " << result.spmd_probe_steps
-              << " probe steps: " << result.spmd_health.summary()
-              << "\nscheduler: " << result.scheduler.items_executed
-              << " arena items, " << result.scheduler.gang_slots_executed
-              << " gang slots on " << result.scheduler.total_workers
-              << " workers\n";
-  }
   if (dist_probe && progress != nullptr) {
     *progress << "distributed probe over " << result.distributed_probe_steps
               << " steps: " << result.distributed_migration_steps

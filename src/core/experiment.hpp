@@ -55,19 +55,14 @@ struct ExperimentConfig {
   /// Process only every `stride`-th snapshot (1 = all). Lets quick checks
   /// subsample the sequence without changing the simulated trajectory.
   idx_t snapshot_stride = 1;
-  /// Opt-in robustness probe: additionally drive the SPMD ContactPipeline
-  /// over the same snapshots and aggregate its transport health into the
-  /// result. Off by default — the metric sweep itself is analytic and runs
-  /// no exchange.
-  bool spmd_health_probe = false;
   /// Opt-in probe of the rank-owned DistributedSim: drives the live
   /// migration protocol over the same snapshots (repartitioning every
   /// `repartition_period` steps under kPeriodicRepartition, never under
   /// kFixedPartition) and aggregates its transport health and migration
   /// accounting into the result. Shares the fault/retry knobs below.
   bool distributed_probe = false;
-  /// Fault schedule for the probes (cell_fault_probability == 0 -> clean
-  /// transport) and their retry budget.
+  /// Fault schedule for the probe (cell_fault_probability == 0 -> clean
+  /// transport) and its retry budget.
   FaultConfig fault{};
   RetryPolicy retry{};
 };
@@ -114,10 +109,6 @@ struct ExperimentResult {
   std::vector<SnapshotMetrics> series;
   AlgorithmAverages mcml_dt;
   AlgorithmAverages ml_rcb;
-  /// Aggregated transport health of the SPMD probe; all counters stay zero
-  /// when ExperimentConfig::spmd_health_probe is off.
-  PipelineHealth spmd_health;
-  idx_t spmd_probe_steps = 0;
   /// Aggregates of the DistributedSim probe; all zero when
   /// ExperimentConfig::distributed_probe is off.
   PipelineHealth distributed_health;

@@ -6,8 +6,6 @@
 #include "contact/global_search.hpp"
 #include "contact/search_metrics.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tree/tree_io.hpp"
-#include "util/timer.hpp"
 
 namespace cpart {
 
@@ -52,8 +50,8 @@ FaceShipMsg make_face_msg(const Mesh& mesh, const SurfaceFace& face, idx_t f) {
 /// one global sort by (node, distance) — the identical input sequence and
 /// comparison the centralized implementation sorts, hence bit-identical
 /// output.
-template <typename Report>
-void merge_rank_events(const std::vector<Rank>& ranks, Report& report) {
+void merge_rank_events(const std::vector<Rank>& ranks,
+                       MlRcbStepReport& report) {
   report.events_per_processor.assign(ranks.size(), 0);
   report.events.clear();
   for (std::size_t q = 0; q < ranks.size(); ++q) {
@@ -66,34 +64,6 @@ void merge_rank_events(const std::vector<Rank>& ranks, Report& report) {
   report.penetrating_events = 0;
   for (const ContactEvent& e : report.events) {
     if (e.signed_distance < 0) ++report.penetrating_events;
-  }
-}
-
-void init_phase(RankPhaseBreakdown& phase, idx_t k) {
-  phase.descriptor_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.halo_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.ship_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.search_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.descriptor_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.halo_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.ship_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-  phase.search_wait_ms.assign(static_cast<std::size_t>(k), 0.0);
-}
-
-/// providers[dst] = sorted unique list of ranks that post halo nodes to dst
-/// — the inverse of the per-rank halo send lists, so the consuming phase can
-/// wait on just its neighbors' rows instead of all k.
-void build_halo_providers(const std::vector<SubdomainView>& views, idx_t k,
-                          std::vector<std::vector<idx_t>>& providers) {
-  providers.assign(static_cast<std::size_t>(k), {});
-  for (idx_t r = 0; r < k; ++r) {
-    for (const HaloSend& hs : views[static_cast<std::size_t>(r)].halo_sends) {
-      providers[static_cast<std::size_t>(hs.dst)].push_back(r);
-    }
-  }
-  for (std::vector<idx_t>& list : providers) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
   }
 }
 
@@ -114,263 +84,6 @@ void validate_snapshot_identity(const Mesh& mesh, const Surface& surface,
   require(to_idx(surface.is_contact_node.size()) == mesh.num_nodes(),
           w + ": surface contact arrays are not indexed by this mesh's "
               "nodes");
-}
-
-ContactPipeline::ContactPipeline(const Mesh& mesh0, const Surface& surface0,
-                                 const PipelineConfig& config)
-    : config_(config),
-      partitioner_(mesh0, surface0, config.decomposition),
-      element_type0_(mesh0.element_type()),
-      num_nodes0_(mesh0.num_nodes()),
-      num_elements0_(mesh0.num_elements()),
-      exchange_(config.decomposition.k),
-      executor_(config.decomposition.k) {
-  config_.search.validate("ContactPipeline");
-  ranks_.resize(static_cast<std::size_t>(k()));
-  for (idx_t r = 0; r < k(); ++r) {
-    ranks_[static_cast<std::size_t>(r)].id = r;
-  }
-}
-
-PipelineStepReport ContactPipeline::run_step(const Mesh& mesh,
-                                             const Surface& surface,
-                                             std::span<const int> body_of_node) {
-  validate_snapshot_identity(mesh, surface, element_type0_, num_nodes0_,
-                             num_elements0_, "ContactPipeline");
-  PipelineStepReport report;
-  PipelineHealth health;
-  const bool ok = try_spmd_step(exchange_, health, [&] {
-    report = run_step_spmd(mesh, surface, body_of_node);
-  });
-  if (ok) {
-    report.health = exchange_.take_health();
-    return report;
-  }
-  report = run_step_reference(mesh, surface, body_of_node);
-  report.health = health;
-  return report;
-}
-
-PipelineStepReport ContactPipeline::run_step_spmd(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const int> body_of_node) {
-  const idx_t num_parts = k();
-  PipelineStepReport report;
-  init_phase(report.phase, num_parts);
-
-  // Per-step ownership views. The nodal graph is cached across snapshots
-  // (rebuilt only when erosion changed the topology) and the halo send
-  // lists follow its version.
-  const CsrGraph& graph = graph_cache_.get(mesh);
-  const std::vector<idx_t>& part = partitioner_.node_partition();
-  contact_labels_.clear();
-  contact_labels_.reserve(surface.contact_nodes.size());
-  for (idx_t id : surface.contact_nodes) {
-    contact_labels_.push_back(part[static_cast<std::size_t>(id)]);
-  }
-  face_owners_into(surface, part, num_parts, face_owner_);
-  build_subdomain_views(surface.contact_nodes, contact_labels_, face_owner_,
-                        num_parts, views_);
-  if (halo_version_ != graph_cache_.version()) {
-    build_halo_sends(graph, part, num_parts, views_);
-    build_halo_providers(views_, num_parts, halo_providers_);
-    halo_version_ = graph_cache_.version();
-  }
-
-  // --- Driver section: induce this snapshot's descriptors on behalf of
-  // rank 0 — parallel subtree induction across the whole pool, warm-started
-  // from last step's recycled tree storage — and broadcast the encoded
-  // tree. Charged to descriptor_ms[0], where rank 0's induce+serialize was
-  // timed before the phase fusion. The broadcast group is born closed (its
-  // rows are posted here, before the run), so the k per-destination wire
-  // validations — the former serial section of delivery #1 — spread across
-  // the async workers while the halo phase proceeds underneath them. --------
-  {
-    Timer timer;
-    if (ranks_[0].descriptors.has_value()) {
-      induce_ws_.recycle(ranks_[0].descriptors->release_tree());
-    }
-    for (Rank& rank : ranks_) rank.begin_step();
-    std::vector<Vec3> points;
-    points.reserve(surface.contact_nodes.size());
-    for (idx_t id : surface.contact_nodes) points.push_back(mesh.node(id));
-    DescriptorOptions dopts = partitioner_.config().descriptor;
-    dopts.dim = mesh.dim();
-    dopts.parallel = true;
-    ranks_[0].descriptors.emplace(points, contact_labels_, num_parts, dopts,
-                                  &induce_ws_);
-    exchange_.descriptors().broadcast(
-        0, DescriptorTreeMsg{encode_tree(ranks_[0].descriptors->tree(),
-                                         config_.wire_format)});
-    report.phase.descriptor_ms[0] += timer.milliseconds();
-  }
-  report.descriptor_tree_nodes = ranks_[0].descriptors->num_tree_nodes();
-
-  // --- Phases 1-4 in one dependency-driven run: parse (reads the born-
-  // closed broadcast — delivery #1), halo post, ghost intake + element
-  // shipping (reads halo from just this rank's neighbors — delivery #2),
-  // local search (reads faces — delivery #3). A rank enters each phase the
-  // moment its own inbox cells commit; there is no global barrier. ----------
-  const auto parse_phase = [&](idx_t r) {
-    // Every other rank parses its own copy off the wire (the format round-
-    // trips doubles exactly, so all k copies answer queries identically).
-    if (r == 0) return;
-    const auto& in = exchange_.descriptors().inbox(r);
-    require(in.size() == 1, "ContactPipeline: descriptor broadcast lost");
-    ranks_[static_cast<std::size_t>(r)].descriptors.emplace(
-        decode_tree(in.front().wire), num_parts);
-  };
-  const auto halo_phase = [&](idx_t r) {
-    for (const HaloSend& hs : views_[static_cast<std::size_t>(r)].halo_sends) {
-      exchange_.halo().send(r, hs.dst,
-                            HaloNodeMsg{hs.node, mesh.node(hs.node)});
-    }
-  };
-  const auto ship_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    const auto& ghosts_in = exchange_.halo().inbox(r);
-    rank.ghosts.assign(ghosts_in.begin(), ghosts_in.end());
-    for (idx_t f : views_[static_cast<std::size_t>(r)].owned_faces) {
-      const SurfaceFace& face = surface.faces[static_cast<std::size_t>(f)];
-      const BBox box = face_bbox(mesh, face, config_.search.search_margin);
-      rank.query_parts.clear();
-      rank.descriptors->query_box(box, rank.query_parts);
-      for (idx_t q : rank.query_parts) {
-        if (q == r) continue;
-        exchange_.faces().send(r, q, make_face_msg(mesh, face, f));
-      }
-    }
-  };
-  const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  const auto search_phase = [&](idx_t r) {
-    Rank& rank = ranks_[static_cast<std::size_t>(r)];
-    const SubdomainView& view = views_[static_cast<std::size_t>(r)];
-    rank.merge_faces(view.owned_faces, exchange_.faces().inbox(r));
-    if (view.contact_nodes.empty() || rank.local_faces.empty()) return;
-    local_contact_search_subset_into(mesh, surface, view.contact_nodes,
-                                     rank.local_faces, local,
-                                     rank.search_scratch, rank.events);
-  };
-  const std::array<AsyncPhase, 4> phases = {
-      AsyncPhase{.body = parse_phase,
-                 .reads = channel_bit(ChannelId::kDescriptors),
-                 .ms_accum = report.phase.descriptor_ms,
-                 .wait_ms_accum = report.phase.descriptor_wait_ms},
-      AsyncPhase{.body = halo_phase,
-                 .writes = channel_bit(ChannelId::kHalo),
-                 .ms_accum = report.phase.halo_ms},
-      AsyncPhase{.body = ship_phase,
-                 .reads = channel_bit(ChannelId::kHalo),
-                 .writes = channel_bit(ChannelId::kFaces),
-                 .ms_accum = report.phase.ship_ms,
-                 .wait_ms_accum = report.phase.ship_wait_ms,
-                 .providers = &halo_providers_},
-      AsyncPhase{.body = search_phase,
-                 .reads = channel_bit(ChannelId::kFaces),
-                 .ms_accum = report.phase.search_ms,
-                 .wait_ms_accum = report.phase.search_wait_ms},
-  };
-  executor_.run(phases, exchange_);
-  report.descriptor_broadcast_bytes = exchange_.take_descriptor_bytes();
-  report.fe_exchange = exchange_.take_fe_traffic();
-  report.halo_payload_bytes = exchange_.take_halo_bytes();
-  report.search_exchange = exchange_.take_search_traffic();
-  report.face_payload_bytes = exchange_.take_face_bytes();
-
-  merge_rank_events(ranks_, report);
-  return report;
-}
-
-PipelineStepReport ContactPipeline::run_step_reference(
-    const Mesh& mesh, const Surface& surface,
-    std::span<const int> body_of_node) const {
-  validate_snapshot_identity(mesh, surface, element_type0_, num_nodes0_,
-                             num_elements0_, "ContactPipeline");
-  const idx_t num_parts = k();
-  PipelineStepReport report;
-
-  // --- Phase 1: descriptor update + broadcast. The tree is built with the
-  // exact options the SPMD driver uses (parallel subtree induction
-  // included — node numbering, and hence the text encoding, depends on it),
-  // so the modeled broadcast bytes match the SPMD path in either format. ----
-  std::vector<Vec3> points;
-  std::vector<idx_t> labels;
-  points.reserve(surface.contact_nodes.size());
-  labels.reserve(surface.contact_nodes.size());
-  for (idx_t id : surface.contact_nodes) {
-    points.push_back(mesh.node(id));
-    labels.push_back(
-        partitioner_.node_partition()[static_cast<std::size_t>(id)]);
-  }
-  DescriptorOptions dopts = partitioner_.config().descriptor;
-  dopts.dim = mesh.dim();
-  dopts.parallel = true;
-  const SubdomainDescriptors descriptors(points, labels, num_parts, dopts);
-  report.descriptor_tree_nodes = descriptors.num_tree_nodes();
-  report.descriptor_broadcast_bytes =
-      static_cast<wgt_t>(
-          encode_tree(descriptors.tree(), config_.wire_format).size()) *
-      std::max<wgt_t>(0, num_parts - 1);
-
-  // --- Phase 2: FE halo exchange. ------------------------------------------
-  const CsrGraph graph = nodal_graph(mesh);
-  report.fe_exchange =
-      fe_halo_traffic(graph, partitioner_.node_partition(), num_parts);
-
-  // --- Phase 3: global search & element shipping. --------------------------
-  const std::vector<idx_t> owners =
-      face_owners(surface, partitioner_.node_partition(), num_parts);
-  VirtualCluster cluster(num_parts);
-  // faces_on[q]: the elements processor q holds after the exchange (its own
-  // plus every element shipped to it).
-  std::vector<std::vector<idx_t>> faces_on(static_cast<std::size_t>(num_parts));
-  {
-    std::vector<idx_t> parts;
-    for (idx_t f = 0; f < surface.num_faces(); ++f) {
-      const idx_t home = owners[static_cast<std::size_t>(f)];
-      faces_on[static_cast<std::size_t>(home)].push_back(f);
-      parts.clear();
-      const BBox box = face_bbox(mesh, surface.faces[static_cast<std::size_t>(f)],
-                                 config_.search.search_margin);
-      descriptors.query_box(box, parts);
-      for (idx_t q : parts) {
-        if (q == home) continue;
-        cluster.send(home, q, 1);
-        faces_on[static_cast<std::size_t>(q)].push_back(f);
-      }
-    }
-  }
-  report.search_exchange = cluster.finish();
-
-  // --- Phase 4: per-processor local search. --------------------------------
-  // nodes_on[q]: processor q's own contact nodes.
-  std::vector<std::vector<idx_t>> nodes_on(static_cast<std::size_t>(num_parts));
-  for (idx_t id : surface.contact_nodes) {
-    nodes_on[static_cast<std::size_t>(
-                 partitioner_.node_partition()[static_cast<std::size_t>(id)])]
-        .push_back(id);
-  }
-  const LocalSearchOptions local = config_.search.local_options(body_of_node);
-  report.events_per_processor.assign(static_cast<std::size_t>(num_parts), 0);
-  for (idx_t q = 0; q < num_parts; ++q) {
-    if (nodes_on[static_cast<std::size_t>(q)].empty() ||
-        faces_on[static_cast<std::size_t>(q)].empty()) {
-      continue;
-    }
-    std::vector<ContactEvent> local_events = local_contact_search_subset(
-        mesh, surface, nodes_on[static_cast<std::size_t>(q)],
-        faces_on[static_cast<std::size_t>(q)], local);
-    report.events_per_processor[static_cast<std::size_t>(q)] =
-        to_idx(local_events.size());
-    report.events.insert(report.events.end(), local_events.begin(),
-                         local_events.end());
-  }
-  std::sort(report.events.begin(), report.events.end(), event_order);
-  report.contact_events = to_idx(report.events.size());
-  for (const ContactEvent& e : report.events) {
-    if (e.signed_distance < 0) ++report.penetrating_events;
-  }
-  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -414,7 +127,6 @@ MlRcbStepReport MlRcbPipeline::run_step(const Mesh& mesh,
                                         const Surface& surface,
                                         std::span<const int> body_of_node) {
   MlRcbStepReport report;
-  init_phase(report.phase, k());
   // The stateful RCB advance runs exactly once per step, before the part
   // that can fail — the degraded path below must not re-run it.
   advance_partition(mesh, surface, report);
@@ -536,18 +248,9 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
   const ChannelMask ship_mask = channel_bit(ChannelId::kCouplingReturn) |
                                 channel_bit(ChannelId::kFaces);
   const std::array<AsyncPhase, 3> phases = {
-      AsyncPhase{.body = post_phase,
-                 .writes = post_mask,
-                 .ms_accum = report.phase.halo_ms},
-      AsyncPhase{.body = ship_phase,
-                 .reads = post_mask,
-                 .writes = ship_mask,
-                 .ms_accum = report.phase.ship_ms,
-                 .wait_ms_accum = report.phase.ship_wait_ms},
-      AsyncPhase{.body = search_phase,
-                 .reads = ship_mask,
-                 .ms_accum = report.phase.search_ms,
-                 .wait_ms_accum = report.phase.search_wait_ms},
+      AsyncPhase{.body = post_phase, .writes = post_mask},
+      AsyncPhase{.body = ship_phase, .reads = post_mask, .writes = ship_mask},
+      AsyncPhase{.body = search_phase, .reads = ship_mask},
   };
   executor_.run(phases, exchange_);
   report.fe_exchange = exchange_.take_fe_traffic();

@@ -1,28 +1,16 @@
-// End-to-end parallel contact pipeline, executed SPMD on the rank/exchange
-// runtime.
+// Shared pieces of the SPMD contact steps, plus the ML+RCB baseline step.
 //
-// One full time step the way a production MPI integration of MCML+DT would
-// run it (paper Sections 2 and 4), as k concurrent per-rank programs over
-// typed exchange channels (runtime/exchange.hpp):
-//   1. descriptor update — rank 0 induces this snapshot's descriptor tree
-//      from the moved contact points and broadcasts the serialized tree to
-//      the other k-1 ranks (bytes x (k-1) = the NTNodes setup cost); every
-//      receiver parses its own copy;
-//   2. FE halo exchange — each rank posts its boundary-node positions to
-//      the adjacent partitions;
-//   3. global search — each rank filters its own surface faces through its
-//      descriptor copy and ships each face (ids + coordinates) to every
-//      candidate rank;
-//   4. local search — each rank tests its own contact nodes against its
-//      owned + received faces.
-// The per-rank events are merged deterministically (rank order, then sorted
-// by (node, distance)) — bit-identical to the centralized implementation,
-// which is retained as run_step_reference() and serves as the equivalence
-// oracle for tests and benches. The union of the per-rank local searches
-// must also equal a serial search over the whole surface whenever the
-// search margin covers the contact tolerance — the integration tests assert
-// exactly that, which validates the conservativeness of the descriptor
-// filter end-to-end.
+// The MCML+DT step (paper Sections 2 and 4) runs SPMD in DistributedSim
+// (core/distributed_sim.hpp); its centralized oracle is
+// DistributedSim::run_step_reference. This header keeps what both SPMD
+// drivers share — the search knobs, the snapshot-identity check, and the
+// degrade-on-transport-failure wrapper — and the ML+RCB baseline pipeline:
+// k concurrent rank programs over typed exchange channels
+// (runtime/exchange.hpp) running the FE halo, the mesh-to-mesh coupling,
+// element shipping under the RCB bounding-box filter, and local search in
+// the RCB decomposition. Its per-rank events are merged deterministically
+// (rank order, then sorted by (node, distance)) — bit-identical to the
+// retained centralized run_step_reference().
 #pragma once
 
 #include <cstdint>
@@ -30,7 +18,6 @@
 #include <vector>
 
 #include "contact/local_search.hpp"
-#include "core/mcml_dt.hpp"
 #include "core/ml_rcb.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "mesh/subdomain.hpp"
@@ -87,8 +74,8 @@ bool try_spmd_step(Exchange& exchange, PipelineHealth& health, Spmd&& spmd) {
   return false;
 }
 
-/// Contact-search knobs shared by both pipelines (deduplicated — they used
-/// to be copy-pasted fields with the margin/tolerance check in two places).
+/// Contact-search knobs shared by both SPMD drivers (DistributedSim and
+/// MlRcbPipeline).
 struct SearchConfig {
   /// Global-search inflation of surface-element boxes. Must be at least the
   /// local tolerance for the pipeline to be exact (checked by validate()).
@@ -107,127 +94,6 @@ struct SearchConfig {
   LocalSearchOptions local_options(std::span<const int> body_of_node) const;
 };
 
-struct PipelineConfig {
-  McmlDtConfig decomposition{};
-  SearchConfig search{};
-  /// Wire encoding of the per-step descriptor-tree broadcast; both flavors
-  /// switch together, so cross-flavor byte comparisons hold in either
-  /// format (see tree/tree_io.hpp).
-  TreeWireFormat wire_format = TreeWireFormat::kBinary;
-};
-
-/// Per-rank wall milliseconds of each SPMD phase of the last run_step
-/// (empty after run_step_reference, which has no per-rank execution).
-struct RankPhaseBreakdown {
-  std::vector<double> descriptor_ms;  // induce/serialize (rank 0), parse
-  std::vector<double> halo_ms;        // halo posting
-  std::vector<double> ship_ms;        // ghost intake + element shipping
-  std::vector<double> search_ms;      // merge + local search
-  // Readiness-wait wall ms preceding each phase under the dependency-driven
-  // executor: time the rank spent blocked until the inbox rows its phase
-  // reads were closed (0 for phases with no reads or already-ready inputs).
-  std::vector<double> descriptor_wait_ms;
-  std::vector<double> halo_wait_ms;
-  std::vector<double> ship_wait_ms;
-  std::vector<double> search_wait_ms;
-};
-
-struct PipelineStepReport {
-  StepTraffic fe_exchange;       // phase 2
-  StepTraffic search_exchange;   // phase 3
-  wgt_t descriptor_tree_nodes = 0;
-  wgt_t descriptor_broadcast_bytes = 0;  // phase 1 cost
-  /// Measured payload bytes the exchange actually carried (SPMD path only;
-  /// the reference path models units, not bytes, and leaves these 0).
-  wgt_t halo_payload_bytes = 0;
-  wgt_t face_payload_bytes = 0;
-  /// Periodic-repartition migration accounting: what the last repartition
-  /// moved, charged to the step it happened in. The pipelines themselves
-  /// keep a fixed partition, so these stay 0 unless the driver runs the
-  /// repartitioning update policy (experiment driver, bench_spmd
-  /// --repart_period) — DistributedSim fills the equivalent fields of its
-  /// own report natively.
-  idx_t repart_moved_nodes = 0;
-  idx_t repart_moved_elements = 0;
-  wgt_t repart_moved_bytes = 0;
-  idx_t contact_events = 0;
-  idx_t penetrating_events = 0;
-  std::vector<ContactEvent> events;  // merged, sorted by (node, distance)
-  /// Contact events found by each processor (sums to contact_events).
-  std::vector<idx_t> events_per_processor;
-  RankPhaseBreakdown phase;  // SPMD path only
-  /// Transport detection/recovery counters of this step. clean() on a
-  /// healthy step; degraded() when the step fell back to the reference
-  /// path. run_step_reference leaves it default (no transport ran).
-  PipelineHealth health;
-};
-
-class ContactPipeline {
- public:
-  /// Decomposes the snapshot-0 mesh; the partition is reused across steps
-  /// (the paper's fixed-partition update policy).
-  ContactPipeline(const Mesh& mesh0, const Surface& surface0,
-                  const PipelineConfig& config);
-
-  idx_t k() const { return config_.decomposition.k; }
-  const McmlDtPartitioner& partitioner() const { return partitioner_; }
-
-  /// Executes one full step SPMD: k rank programs run concurrently on the
-  /// global ThreadPool, exchanging real payloads. `body_of_node` (size
-  /// num_nodes) enables the standard same-body contact exclusion. Snapshots
-  /// must come from one simulation sequence (the nodal-graph cache keys on
-  /// monotone erosion — see NodalGraphCache).
-  ///
-  /// Robustness: delivery validation failures are retried inside the
-  /// exchange (see RetryPolicy); if the transport gives up (TransportError),
-  /// a descriptor wire is rejected (TreeParseError), or rank programs throw
-  /// (ParallelGroupError), the step completes through run_step_reference
-  /// instead of crashing, with health.degraded_steps == 1 on the report.
-  PipelineStepReport run_step(const Mesh& mesh, const Surface& surface,
-                              std::span<const int> body_of_node = {});
-
-  /// The pre-refactor centralized implementation, kept as the equivalence
-  /// oracle: run_step must match it bit for bit (events, per-rank counts,
-  /// traffic), which the spmd tests assert at 1 and 8 threads.
-  PipelineStepReport run_step_reference(
-      const Mesh& mesh, const Surface& surface,
-      std::span<const int> body_of_node = {}) const;
-
-  /// The Exchange this pipeline's supersteps run over — exposed so callers
-  /// (tests, benches, the experiment driver) can arm fault injection and
-  /// tune the retry policy.
-  Exchange& exchange() { return exchange_; }
-
- private:
-  /// The SPMD step body; throws on transport/parse/rank-program failure
-  /// (run_step catches and degrades).
-  PipelineStepReport run_step_spmd(const Mesh& mesh, const Surface& surface,
-                                   std::span<const int> body_of_node);
-
-  PipelineConfig config_;
-  McmlDtPartitioner partitioner_;
-  // Snapshot-sequence identity captured at construction; every step's
-  // snapshot is validated against it (see validate_snapshot_identity).
-  ElementType element_type0_;
-  idx_t num_nodes0_ = 0;
-  idx_t num_elements0_ = 0;
-  // SPMD state, reused across steps.
-  NodalGraphCache graph_cache_;
-  std::uint64_t halo_version_ = 0;  // views_ halo lists match this version
-  std::vector<SubdomainView> views_;
-  std::vector<Rank> ranks_;
-  Exchange exchange_;
-  AsyncExecutor executor_;
-  // Inverse of views_[*].halo_sends — halo_providers_[dst] lists every rank
-  // that posts halo nodes to dst. Rebuilt with the halo lists (same
-  // halo_version_ key); lets the ship phase start on a rank once just its
-  // neighbors' rows closed.
-  std::vector<std::vector<idx_t>> halo_providers_;
-  TreeInduceWorkspace induce_ws_;      // warm storage across step inductions
-  std::vector<idx_t> contact_labels_;  // per-step gather scratch
-  std::vector<idx_t> face_owner_;
-};
-
 // ---------------------------------------------------------------------------
 // The same end-to-end step for the ML+RCB baseline.
 // ---------------------------------------------------------------------------
@@ -242,7 +108,8 @@ struct MlRcbStepReport {
   StepTraffic coupling_exchange;  // mesh-to-mesh, both directions
   StepTraffic search_exchange;
   wgt_t upd_comm = 0;  // incremental-RCB redistribution this step
-  /// Measured payload bytes (SPMD path only, like PipelineStepReport).
+  /// Measured payload bytes the exchange actually carried (SPMD path only;
+  /// the reference path models units, not bytes, and leaves these 0).
   wgt_t halo_payload_bytes = 0;
   wgt_t face_payload_bytes = 0;
   wgt_t coupling_payload_bytes = 0;
@@ -251,8 +118,9 @@ struct MlRcbStepReport {
   idx_t penetrating_events = 0;
   std::vector<ContactEvent> events;
   std::vector<idx_t> events_per_processor;
-  RankPhaseBreakdown phase;  // SPMD path only (descriptor_ms stays 0)
-  /// Transport health of this step (see PipelineStepReport::health).
+  /// Transport detection/recovery counters of this step. clean() on a
+  /// healthy step; degraded() when the step fell back to the centralized
+  /// phases. run_step_reference leaves it default (no transport ran).
   PipelineHealth health;
 };
 
@@ -271,8 +139,8 @@ class MlRcbPipeline {
 
   /// Advances the incremental RCB and executes the step SPMD. Must be
   /// called in snapshot order (the RCB update is stateful). Degrades to the
-  /// centralized phases on transport/rank failure exactly like
-  /// ContactPipeline::run_step — the RCB advance runs once either way.
+  /// centralized phases on transport/rank failure (TransportError, a
+  /// failing rank program) — the RCB advance runs once either way.
   MlRcbStepReport run_step(const Mesh& mesh, const Surface& surface,
                            std::span<const int> body_of_node = {});
 
@@ -283,7 +151,8 @@ class MlRcbPipeline {
   MlRcbStepReport run_step_reference(const Mesh& mesh, const Surface& surface,
                                      std::span<const int> body_of_node = {});
 
-  /// See ContactPipeline::exchange().
+  /// The Exchange this pipeline's supersteps run over — exposed so tests
+  /// can arm fault injection and tune the retry policy.
   Exchange& exchange() { return exchange_; }
 
  private:

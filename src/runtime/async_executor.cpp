@@ -12,12 +12,58 @@
 
 #include "parallel/thread_pool.hpp"
 #include "runtime/exchange.hpp"
-#include "runtime/rank_executor.hpp"
 #include "util/timer.hpp"
 
 namespace cpart {
 
 namespace {
+
+/// Worker count for a rank dispatch. Bounded by the pool (every worker must
+/// hold a real thread for the whole dispatch), by k (static stride then
+/// gives each of the first W workers at least one rank), and by the
+/// machine's concurrency (workers beyond the physical threads only add
+/// context switches).
+unsigned rank_dispatch_workers(const ThreadPool& pool, idx_t k) {
+  // Inside parallel work (a session step job, a parallel_tasks body) the
+  // dispatch runs inline on the calling thread only, so a striped loop at
+  // W > 1 would execute its workers sequentially — fatal for gang bodies
+  // that block on sibling workers (the futex waits below).
+  // Width 1 is always valid: results are width-independent by invariant.
+  if (ThreadPool::in_worker()) return 1;
+  unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = pool.num_threads();  // unknown: trust the pool size
+  const unsigned cap = std::min(std::max(1u, pool.num_threads()),
+                                std::max(1u, hw));
+  return static_cast<unsigned>(
+      std::min<idx_t>(static_cast<idx_t>(cap), k));
+}
+
+/// Mirrors ThreadPool's dispatch outcome for per-rank failures: one failing
+/// rank rethrows its original exception, several aggregate into a
+/// ParallelGroupError keyed by rank id.
+[[noreturn]] void raise_rank_errors(
+    std::vector<std::pair<idx_t, std::exception_ptr>>&& errors) {
+  if (errors.size() == 1) {
+    std::rethrow_exception(errors.front().second);
+  }
+  std::sort(errors.begin(), errors.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<ParallelGroupError::Failure> failures;
+  failures.reserve(errors.size());
+  for (auto& [rank, err] : errors) {
+    ParallelGroupError::Failure f;
+    f.index = rank;
+    try {
+      std::rethrow_exception(err);
+    } catch (const std::exception& e) {
+      f.message = e.what();
+    } catch (...) {
+      f.message = "unknown exception";
+    }
+    failures.push_back(std::move(f));
+  }
+  throw ParallelGroupError(std::move(failures));
+}
 
 std::string rank_death_message(const std::vector<idx_t>& ranks) {
   std::ostringstream os;
@@ -102,12 +148,6 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   for (idx_t p = 0; p < P; ++p) {
     const AsyncPhase& phase = phases[static_cast<std::size_t>(p)];
     require(static_cast<bool>(phase.body), "AsyncExecutor: phase without body");
-    require(phase.ms_accum.empty() ||
-                phase.ms_accum.size() == static_cast<std::size_t>(k_),
-            "AsyncExecutor: ms accumulator size mismatch");
-    require(phase.wait_ms_accum.empty() ||
-                phase.wait_ms_accum.size() == static_cast<std::size_t>(k_),
-            "AsyncExecutor: wait accumulator size mismatch");
     require(phase.providers == nullptr ||
                 phase.providers->size() == static_cast<std::size_t>(k_),
             "AsyncExecutor: provider list size mismatch");
@@ -363,9 +403,6 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
             double wait_ms = 0;
             const WaitOutcome out = wait_ready(g, p, r, wait_ms);
             if (wait_ms > 0) {
-              if (!phase.wait_ms_accum.empty()) {
-                phase.wait_ms_accum[static_cast<std::size_t>(r)] += wait_ms;
-              }
               const wgt_t ns = static_cast<wgt_t>(wait_ms * 1e6);
               ++s.health.readiness_stalls;
               s.health.readiness_stall_ns += ns;
@@ -394,7 +431,6 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
           ex = exhausted.load(std::memory_order_acquire);
         }
         if (ex != kNoGroup) continue;  // drain mode: validation only
-        Timer timer;
         try {
           phase.body(r);
         } catch (...) {
@@ -403,9 +439,6 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
           // Recorded before phase_done below: once phase_done[p] reaches
           // k, every failure at phase <= p is visible to the gate.
           fetch_min(min_failed, p);
-        }
-        if (!phase.ms_accum.empty()) {
-          phase.ms_accum[static_cast<std::size_t>(r)] += timer.milliseconds();
         }
         for (idx_t h : closes[static_cast<std::size_t>(p)]) {
           row_closed[static_cast<std::size_t>(h * k_ + r)].store(

@@ -1,10 +1,10 @@
 // Dependency-driven rank execution: channel-granular async supersteps.
 //
-// RankExecutor's fused-phase schedule separated consecutive rank phases
-// with a full SpmdBarrier whose winner delivered whole channels in a serial
-// section — every rank waited for every other rank at every phase boundary,
-// even for channels it does not read. AsyncExecutor replaces that schedule
-// with dependency-driven execution: each phase declares the ChannelMask it
+// A barrier schedule separates consecutive rank phases with a full
+// SpmdBarrier whose winner delivers whole channels in a serial section —
+// every rank waits for every other rank at every phase boundary, even for
+// channels it does not read. AsyncExecutor replaces that schedule with
+// dependency-driven execution: each phase declares the ChannelMask it
 // reads and the mask it writes, and a rank starts its next phase the moment
 // *its own* inbox cells for the channels that phase reads have been
 // committed. There is no global barrier inside a run:
@@ -41,11 +41,11 @@
 // deliver(mask) had run per group (see Exchange::async_fold_group);
 // readiness waits are counted as per-channel stalls in PipelineHealth.
 //
-// Failure semantics match RankExecutor: every rank completes the earliest
-// failing phase before the run unwinds (later-phase work is discarded), a
-// single failing rank rethrows its original exception, several aggregate
-// into ParallelGroupError, and an exhausted retry budget aborts the step
-// and throws the barrier-identical TransportError.
+// Failure semantics match ThreadPool::parallel_tasks: every rank completes
+// the earliest failing phase before the run unwinds (later-phase work is
+// discarded), a single failing rank rethrows its original exception,
+// several aggregate into ParallelGroupError, and an exhausted retry budget
+// aborts the step and throws the barrier-identical TransportError.
 #pragma once
 
 #include <functional>
@@ -92,11 +92,6 @@ struct AsyncPhase {
   /// one read by no phase stays staged for a driver-side deliver() after
   /// the run (the rank-0 contact gather pattern).
   ChannelMask writes = 0;
-  /// Optional per-rank wall-ms accumulator for the body (size k).
-  std::span<double> ms_accum = {};
-  /// Optional per-rank wall-ms accumulator for the readiness wait that
-  /// precedes the body (size k). Zero when the inputs were already ready.
-  std::span<double> wait_ms_accum = {};
   /// Optional exact provider topology for `reads`: providers[dst] lists
   /// every source rank that may post to dst on any channel of the mask.
   /// Lets dst proceed once just those rows are closed (neighbor-granular

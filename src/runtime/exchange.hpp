@@ -129,10 +129,10 @@ inline bool fault_truncate_payload(HaloNodeMsg&, std::uint64_t) {
   return false;  // fixed-layout message: truncation cuts the cell tail
 }
 
-/// Descriptor broadcast: the serialized descriptor tree (tree_io wire
-/// format — binary or text, both with exact double round-trip). The
-/// transport treats the payload as opaque bytes; the per-cell frame and the
-/// byte-level fault hooks below work identically for either encoding.
+/// Descriptor broadcast: the serialized descriptor tree (the tree_io binary
+/// wire, exact double round-trip). The transport treats the payload as
+/// opaque bytes; the per-cell frame and the byte-level fault hooks below
+/// work on those bytes.
 struct DescriptorTreeMsg {
   std::string wire;
 };

@@ -1,11 +1,12 @@
 // Rank-owned distributed simulation state.
 //
-// The SPMD contact pipelines of core/pipeline.hpp still read a centrally
-// generated snapshot each step; their ranks own *views* of global products.
-// SubdomainState goes the rest of the way: each rank holds the authoritative
-// state of exactly the nodes its partition label assigns to it (positions,
-// accumulated contact hits), plus a ghost layer — the element closure of its
-// owned nodes — kept current by halo exchange. Everything a rank derives
+// The ML+RCB baseline pipeline of core/pipeline.hpp reads a centrally
+// generated snapshot each step; its ranks own *views* of global products.
+// SubdomainState, the rank state of DistributedSim, goes the rest of the
+// way: each rank holds the authoritative state of exactly the nodes its
+// partition label assigns to it (positions, accumulated contact hits), plus
+// a ghost layer — the element closure of its owned nodes — kept current by
+// halo exchange. Everything a rank derives
 // (surface records, contact-node lists, search events) comes from this
 // local state; nothing reads a central snapshot.
 //

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
-#include <cmath>
 #include <iomanip>
-#include <iterator>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <string_view>
 
 #include "util/varint.hpp"
@@ -32,141 +29,7 @@ void write_tree(std::ostream& os, const DecisionTree& tree) {
   }
 }
 
-std::string tree_to_string(const DecisionTree& tree) {
-  std::ostringstream os;
-  write_tree(os, tree);
-  return os.str();
-}
-
 namespace {
-
-/// Locale-free tokenizer for the wire format. The istream number path goes
-/// through the global locale, whose shared state serializes concurrent
-/// parses — and the SPMD descriptor broadcast has k-1 ranks parsing the
-/// same tree inside one superstep. std::from_chars has no shared state and
-/// reads the same decimal text exactly (17 significant digits round-trip).
-///
-/// The scanner never trusts the wire: every std::from_chars result (both
-/// the error code and the consumed length) is checked, and every failure —
-/// truncation, a non-numeric or partially numeric token, out-of-range
-/// values, trailing garbage — raises TreeParseError with the byte offset
-/// where scanning stopped.
-class WireScanner {
- public:
-  explicit WireScanner(std::string_view text) : text_(text) {}
-
-  std::string_view token(const char* what) {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
-    if (pos_ == start) {
-      fail(std::string("read_tree: unexpected end of input, expected ") +
-               what,
-           start);
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  template <typename T>
-  T number(const char* what) {
-    const std::string_view tok = token(what);
-    const std::size_t start = pos_ - tok.size();
-    T value{};
-    const auto res =
-        std::from_chars(tok.data(), tok.data() + tok.size(), value);
-    if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
-      fail(std::string("read_tree: bad ") + what + " '" + std::string(tok) +
-               "'",
-           start);
-    }
-    return value;
-  }
-
-  /// Rejects anything but trailing whitespace after the last record.
-  void expect_end() {
-    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
-    if (pos_ < text_.size()) {
-      fail("read_tree: trailing garbage after tree", pos_);
-    }
-  }
-
-  /// Bytes not yet consumed — used to bound count fields before
-  /// preallocating (every encoded record costs at least one byte per
-  /// element, so a count larger than the remaining input is garbage, not a
-  /// giant allocation).
-  std::size_t remaining() const { return text_.size() - pos_; }
-
-  std::size_t pos() const { return pos_; }
-
-  [[noreturn]] static void fail(const std::string& msg, std::size_t offset) {
-    throw TreeParseError(msg, offset);
-  }
-
- private:
-  static bool is_space(char c) {
-    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-DecisionTree parse_tree(std::string_view text) {
-  WireScanner sc(text);
-  if (text.empty()) {
-    WireScanner::fail("read_tree: empty input", 0);
-  }
-  const std::string_view magic = sc.token("magic");
-  if (magic != "cparttree") {
-    WireScanner::fail("read_tree: not a cparttree stream", 0);
-  }
-  const int version = sc.number<int>("version");
-  if (version != 1) {
-    WireScanner::fail("read_tree: unsupported cparttree version " +
-                          std::to_string(version),
-                      sc.pos());
-  }
-  const idx_t count = sc.number<idx_t>("node count");
-  if (count < 0 || static_cast<std::size_t>(count) > sc.remaining()) {
-    WireScanner::fail("read_tree: implausible node count " +
-                          std::to_string(count),
-                      sc.pos());
-  }
-  const idx_t root = sc.number<idx_t>("root");
-  std::vector<TreeNode> nodes(static_cast<std::size_t>(count));
-  std::vector<idx_t> offsets{0};
-  std::vector<idx_t> labels;
-  for (idx_t id = 0; id < count; ++id) {
-    TreeNode& nd = nodes[static_cast<std::size_t>(id)];
-    nd.axis = sc.number<int>("axis");
-    nd.cut = sc.number<real_t>("cut");
-    nd.left = sc.number<idx_t>("left");
-    nd.right = sc.number<idx_t>("right");
-    nd.label = sc.number<idx_t>("label");
-    nd.pure = sc.number<int>("pure flag") != 0;
-    nd.count = sc.number<idx_t>("count");
-    nd.bounds.lo.x = sc.number<real_t>("bounds");
-    nd.bounds.lo.y = sc.number<real_t>("bounds");
-    nd.bounds.lo.z = sc.number<real_t>("bounds");
-    nd.bounds.hi.x = sc.number<real_t>("bounds");
-    nd.bounds.hi.y = sc.number<real_t>("bounds");
-    nd.bounds.hi.z = sc.number<real_t>("bounds");
-    const idx_t num_minorities = sc.number<idx_t>("minority count");
-    if (num_minorities < 0 ||
-        static_cast<std::size_t>(num_minorities) > sc.remaining()) {
-      WireScanner::fail("read_tree: implausible minority count in node " +
-                            std::to_string(id),
-                        sc.pos());
-    }
-    for (idx_t i = 0; i < num_minorities; ++i) {
-      labels.push_back(sc.number<idx_t>("minority label"));
-    }
-    offsets.push_back(to_idx(labels.size()));
-  }
-  sc.expect_end();
-  return assemble_tree(std::move(nodes), root, std::move(offsets),
-                       std::move(labels));
-}
 
 // ---------------------------------------------------------------------------
 // Binary codec
@@ -189,10 +52,9 @@ void append_f64(std::string& out, double v) {
   }
 }
 
-/// Bounded little-endian reader mirroring WireScanner's guarantees for the
-/// binary layout: every read checks the remaining length first, and every
-/// failure raises TreeParseError with the byte offset where decoding
-/// stopped. Fixed-width fields make truncation detection exact.
+/// Bounded little-endian reader that never trusts the wire: every read
+/// checks the remaining length first, and every failure raises
+/// TreeParseError with the byte offset where decoding stopped. Fixed-width fields make truncation detection exact.
 class BinaryScanner {
  public:
   explicit BinaryScanner(std::string_view bytes) : bytes_(bytes) {}
@@ -229,7 +91,7 @@ class BinaryScanner {
   std::uint64_t varint(const char* what) {
     std::uint64_t v = 0;
     if (!read_varint(bytes_, pos_, v)) {
-      fail(std::string("read_tree: bad varint ") + what, pos_);
+      fail(std::string("decode_tree: bad varint ") + what, pos_);
     }
     return v;
   }
@@ -238,14 +100,14 @@ class BinaryScanner {
     need(sizeof(kBinaryMagic), "magic");
     if (bytes_.compare(0, sizeof(kBinaryMagic), kBinaryMagic,
                        sizeof(kBinaryMagic)) != 0) {
-      fail("read_tree: not a cptb stream", 0);
+      fail("decode_tree: not a cptb stream", 0);
     }
     pos_ += sizeof(kBinaryMagic);
   }
 
   void expect_end() const {
     if (pos_ < bytes_.size()) {
-      fail("read_tree: trailing bytes after tree", pos_);
+      fail("decode_tree: trailing bytes after tree", pos_);
     }
   }
 
@@ -259,7 +121,7 @@ class BinaryScanner {
  private:
   void need(std::size_t n, const char* what) const {
     if (bytes_.size() - pos_ < n) {
-      fail(std::string("read_tree: unexpected end of input, expected ") +
+      fail(std::string("decode_tree: unexpected end of input, expected ") +
                what,
            bytes_.size());
     }
@@ -306,15 +168,15 @@ std::string tree_to_binary(const DecisionTree& tree) {
   return out;
 }
 
-DecisionTree tree_from_binary(std::string_view bytes) {
-  BinaryScanner sc(bytes);
-  if (bytes.empty()) {
-    BinaryScanner::fail("read_tree: empty input", 0);
+DecisionTree decode_tree(const std::string& wire) {
+  BinaryScanner sc(wire);
+  if (wire.empty()) {
+    BinaryScanner::fail("decode_tree: empty input", 0);
   }
   sc.expect_magic();
   const std::uint8_t version = sc.u8("version");
   if (version != kTreeBinaryVersion) {
-    BinaryScanner::fail("read_tree: unsupported cptb version " +
+    BinaryScanner::fail("decode_tree: unsupported cptb version " +
                             std::to_string(version),
                         sc.pos() - 1);
   }
@@ -323,14 +185,14 @@ DecisionTree tree_from_binary(std::string_view bytes) {
   // a count that cannot fit in the remaining input is garbage, rejected
   // before any allocation.
   if (raw_count > sc.remaining() / (kNodeRecordBytes + 1)) {
-    BinaryScanner::fail("read_tree: implausible node count " +
+    BinaryScanner::fail("decode_tree: implausible node count " +
                             std::to_string(raw_count),
                         sc.pos());
   }
   const idx_t count = static_cast<idx_t>(raw_count);
   const std::uint64_t raw_root = sc.varint("root");
   if (raw_root > raw_count) {
-    BinaryScanner::fail("read_tree: root out of range", sc.pos());
+    BinaryScanner::fail("decode_tree: root out of range", sc.pos());
   }
   const idx_t root = static_cast<idx_t>(raw_root) - 1;
   std::vector<TreeNode> nodes(static_cast<std::size_t>(count));
@@ -355,7 +217,7 @@ DecisionTree tree_from_binary(std::string_view bytes) {
   for (idx_t id = 0; id < count; ++id) {
     const std::uint64_t num_minorities = sc.varint("minority count");
     if (num_minorities > sc.remaining()) {
-      BinaryScanner::fail("read_tree: implausible minority count in node " +
+      BinaryScanner::fail("decode_tree: implausible minority count in node " +
                               std::to_string(id),
                           sc.pos());
     }
@@ -363,7 +225,7 @@ DecisionTree tree_from_binary(std::string_view bytes) {
       const std::uint64_t l = sc.varint("minority label");
       if (l > static_cast<std::uint64_t>(
                   std::numeric_limits<std::int32_t>::max())) {
-        BinaryScanner::fail("read_tree: minority label out of range",
+        BinaryScanner::fail("decode_tree: minority label out of range",
                             sc.pos());
       }
       labels.push_back(static_cast<idx_t>(l));
@@ -373,30 +235,6 @@ DecisionTree tree_from_binary(std::string_view bytes) {
   sc.expect_end();
   return assemble_tree(std::move(nodes), root, std::move(offsets),
                        std::move(labels));
-}
-
-std::string encode_tree(const DecisionTree& tree, TreeWireFormat format) {
-  return format == TreeWireFormat::kBinary ? tree_to_binary(tree)
-                                           : tree_to_string(tree);
-}
-
-DecisionTree decode_tree(const std::string& wire) {
-  if (wire.size() >= sizeof(kBinaryMagic) &&
-      wire.compare(0, sizeof(kBinaryMagic), kBinaryMagic,
-                   sizeof(kBinaryMagic)) == 0) {
-    return tree_from_binary(wire);
-  }
-  return parse_tree(wire);
-}
-
-DecisionTree read_tree(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  return parse_tree(text);
-}
-
-DecisionTree tree_from_string(const std::string& text) {
-  return parse_tree(text);
 }
 
 DecisionTree assemble_tree(std::vector<TreeNode> nodes, idx_t root,

@@ -2,7 +2,8 @@
 // must be detected by the cell framing/checksum, retries must recover from
 // transient corruption with bit-identical results, exhausted budgets must
 // degrade to the centralized reference path instead of crashing, and the
-// health counters must match the injected schedule exactly.
+// health counters must match the injected schedule exactly. The soaks drive
+// both SPMD steps: DistributedSim (MCML+DT) and MlRcbPipeline.
 //
 // The soak seed can be swept from CI via the CPART_CHAOS_SEED environment
 // variable (default 1); the fault schedule is a pure function of the seed,
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/distributed_sim.hpp"
 #include "core/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/exchange.hpp"
@@ -210,11 +212,12 @@ class ChaosPipelineTest : public ::testing::Test {
 
   void TearDown() override { ThreadPool::set_global_threads(0); }
 
-  PipelineConfig dt_config(idx_t k) const {
-    PipelineConfig c;
+  DistributedSimConfig dt_config(idx_t k, idx_t repartition_period) const {
+    DistributedSimConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
+    c.repartition_period = repartition_period;
     return c;
   }
 
@@ -230,38 +233,6 @@ class ChaosPipelineTest : public ::testing::Test {
   ImpactSim::Snapshot snap0_;
   std::vector<int> body_;
 };
-
-TEST_F(ChaosPipelineTest, ExhaustedBudgetDegradesToReferenceNotCrash) {
-  ThreadPool::set_global_threads(4);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(4));
-  FaultInjector injector(
-      FaultConfig{.seed = 5, .cell_fault_probability = 1.0});
-  pipeline.exchange().set_fault_injector(&injector);
-  pipeline.exchange().set_retry_policy({.max_attempts = 2});
-
-  const auto snap = sim_->snapshot(29);
-  const PipelineStepReport ref =
-      pipeline.run_step_reference(snap.mesh, snap.surface, body_);
-  const PipelineStepReport got =
-      pipeline.run_step(snap.mesh, snap.surface, body_);
-
-  EXPECT_TRUE(got.health.degraded());
-  EXPECT_EQ(got.health.degraded_steps, 1);
-  EXPECT_EQ(got.health.exhausted_deliveries, 1);
-  EXPECT_GT(got.health.corrupt_cells, 0);
-  // The degraded step still produces the full, correct answer.
-  expect_events_identical(got.events, ref.events, "degraded contact");
-  EXPECT_EQ(got.events_per_processor, ref.events_per_processor);
-  EXPECT_EQ(got.fe_exchange, ref.fe_exchange);
-  EXPECT_EQ(got.search_exchange, ref.search_exchange);
-
-  // Disarming the injector heals the next step completely.
-  pipeline.exchange().set_fault_injector(nullptr);
-  const PipelineStepReport healed =
-      pipeline.run_step(snap.mesh, snap.surface, body_);
-  EXPECT_TRUE(healed.health.clean()) << healed.health.summary();
-  expect_events_identical(healed.events, ref.events, "healed contact");
-}
 
 TEST_F(ChaosPipelineTest, MlRcbDegradedStepMatchesOracleAndKeepsRcbState) {
   ThreadPool::set_global_threads(4);
@@ -298,14 +269,13 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
   constexpr idx_t kSteps = 50;
   const idx_t k = 6;
 
-  // Fault-free baseline events per step.
+  // Fault-free baseline events per step (fixed partition).
   ThreadPool::set_global_threads(8);
   std::vector<std::vector<ContactEvent>> baseline;
   {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dt_config(k, 0));
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+      DistributedStepReport r = dsim.run_step(s);
       ASSERT_TRUE(r.health.clean()) << "baseline s=" << s;
       baseline.push_back(std::move(r.events));
     }
@@ -321,16 +291,14 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
   FaultInjector::Stats stats_at_1;
   for (unsigned threads : {1u, 8u}) {
     ThreadPool::set_global_threads(threads);
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dt_config(k, 0));
     FaultInjector injector(fc);
-    pipeline.exchange().set_fault_injector(&injector);
-    pipeline.exchange().set_retry_policy(retry);
+    dsim.exchange().set_fault_injector(&injector);
+    dsim.exchange().set_retry_policy(retry);
 
     PipelineHealth total;
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      const PipelineStepReport r =
-          pipeline.run_step(snap.mesh, snap.surface, body_);
+      const DistributedStepReport r = dsim.run_step(s);
       total += r.health;
       // The headline invariant: within the retry budget, contact events are
       // bit-identical to the fault-free run.
@@ -347,7 +315,7 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(total.exhausted_deliveries, 0);
     EXPECT_EQ(total.degraded_steps, 0);
     EXPECT_EQ(total.wire_parse_failures, 0);
-    EXPECT_EQ(total.deliveries, wgt_t{3} * kSteps);
+    EXPECT_EQ(total.deliveries, wgt_t{4} * kSteps);
 
     if (threads == 1) {
       health_at_1 = total;
@@ -363,7 +331,8 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
 
 // The dependency-driven executor lets ranks finish phases out of global
 // order (a rank may be searching while another is still shipping). This
-// soak pins down both halves of the contract across three fixed seeds:
+// soak pins down both halves of the contract across three fixed seeds,
+// with a repartition + live migration every third step:
 //   * fault-free, the fully-async schedule is bit-identical to itself at 1
 //     and 8 threads and to the fault-free baseline (no barrier anywhere);
 //   * with an injector armed, validation gates on phase completion, so the
@@ -373,19 +342,24 @@ TEST_F(ChaosPipelineTest, SoakFiftyStepsBitIdenticalAtOneAndEightThreads) {
 //     nature and deliberately excluded from PipelineHealth equality.
 TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
   constexpr idx_t kSteps = 12;
+  constexpr idx_t kPeriod = 3;
   const idx_t k = 6;
 
   ThreadPool::set_global_threads(8);
-  std::vector<std::vector<ContactEvent>> baseline;
+  std::vector<DistributedStepReport> baseline;
+  wgt_t baseline_deliveries = 0;
   {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+    DistributedSim dsim(*sim_, dt_config(k, kPeriod));
     for (idx_t s = 0; s < kSteps; ++s) {
-      const auto snap = sim_->snapshot(s);
-      PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+      DistributedStepReport r = dsim.run_step(s);
       ASSERT_TRUE(r.health.clean()) << "baseline s=" << s;
-      baseline.push_back(std::move(r.events));
+      baseline_deliveries += r.health.deliveries;
+      baseline.push_back(std::move(r));
     }
   }
+  // Four deliveries per step plus the migration superstep on the three
+  // repartition steps.
+  ASSERT_EQ(baseline_deliveries, wgt_t{4} * kSteps + (kSteps - 1) / kPeriod);
 
   for (const std::uint64_t seed :
        {chaos_seed(), std::uint64_t{20260805}, std::uint64_t{987654321}}) {
@@ -398,27 +372,29 @@ TEST_F(ChaosPipelineTest, AsyncOutOfOrderSoakKeepsFaultScheduleAndBitIdentity) {
     FaultInjector::Stats stats_at_1;
     for (unsigned threads : {1u, 8u}) {
       ThreadPool::set_global_threads(threads);
-      ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
+      DistributedSim dsim(*sim_, dt_config(k, kPeriod));
       FaultInjector injector(fc);
-      pipeline.exchange().set_fault_injector(&injector);
-      pipeline.exchange().set_retry_policy(retry);
+      dsim.exchange().set_fault_injector(&injector);
+      dsim.exchange().set_retry_policy(retry);
 
       PipelineHealth total;
       for (idx_t s = 0; s < kSteps; ++s) {
-        const auto snap = sim_->snapshot(s);
-        const PipelineStepReport r =
-            pipeline.run_step(snap.mesh, snap.surface, body_);
+        const DistributedStepReport r = dsim.run_step(s);
         total += r.health;
-        expect_events_identical(
-            r.events, baseline[static_cast<std::size_t>(s)],
-            "seed=" + std::to_string(seed) +
-                " threads=" + std::to_string(threads) +
-                " s=" + std::to_string(s));
+        const DistributedStepReport& want =
+            baseline[static_cast<std::size_t>(s)];
+        const std::string what = "seed=" + std::to_string(seed) +
+                                 " threads=" + std::to_string(threads) +
+                                 " s=" + std::to_string(s);
+        expect_events_identical(r.events, want.events, what);
+        EXPECT_EQ(r.ownership_hash, want.ownership_hash) << what;
+        EXPECT_EQ(r.repart_moved_nodes, want.repart_moved_nodes) << what;
       }
       EXPECT_EQ(total.corrupt_cells, injector.stats().faults_injected)
           << "seed=" << seed;
+      EXPECT_GT(injector.stats().faults_injected, 0) << "seed=" << seed;
       EXPECT_EQ(total.degraded_steps, 0) << "seed=" << seed;
-      EXPECT_EQ(total.deliveries, wgt_t{3} * kSteps) << "seed=" << seed;
+      EXPECT_EQ(total.deliveries, baseline_deliveries) << "seed=" << seed;
       if (threads == 1) {
         health_at_1 = total;
         stats_at_1 = injector.stats();

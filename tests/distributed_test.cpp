@@ -3,7 +3,8 @@
 // local search, and live element migration on repartition steps) must be
 // bit-identical to the centralized reference body — events, traffic
 // matrices, payload bytes, ownership maps, and contact-hit accumulators — at
-// 1 worker thread and at 8, including under the fault-injected transport.
+// 1 worker thread and at 8, on the normal-incidence and the oblique drifting
+// scene, including under the fault-injected transport.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,14 +79,19 @@ void expect_reports_identical(const DistributedStepReport& got,
 
 class DistributedSimTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static ImpactSimConfig scene(real_t obliquity) {
     ImpactSimConfig sc;
     sc.plate_cells_xy = 12;
     sc.plate_cells_z = 2;
     sc.proj_cells_diameter = 6;
     sc.proj_cells_z = 6;
     sc.num_snapshots = 40;
-    sim_ = std::make_unique<ImpactSim>(sc);
+    sc.obliquity = obliquity;
+    return sc;
+  }
+
+  void SetUp() override {
+    sim_ = std::make_unique<ImpactSim>(scene(0.0));
   }
 
   void TearDown() override {
@@ -108,16 +114,20 @@ class DistributedSimTest : public ::testing::Test {
   }
 
   // Two identically-configured instances: one driven SPMD, one through the
-  // centralized reference body. Every step — including the two
+  // centralized reference body. Every step — including the
   // repartition+migration steps the period puts in the sequence — must
   // produce identical reports and identical end-of-step rank state.
   void check_bit_identity(idx_t k) {
+    check_bit_identity(*sim_, k, {0, 5, 10, 15, 20, 29});
+  }
+
+  void check_bit_identity(const ImpactSim& sim, idx_t k,
+                          const std::vector<idx_t>& snapshots) {
     const DistributedSimConfig config = make_config(k, /*period=*/2);
-    DistributedSim spmd(*sim_, config);
-    DistributedSim oracle(*sim_, config);
+    DistributedSim spmd(sim, config);
+    DistributedSim oracle(sim, config);
     bool saw_migration = false;
-    for (idx_t s : {idx_t{0}, idx_t{5}, idx_t{10}, idx_t{15}, idx_t{20},
-                    idx_t{29}}) {
+    for (idx_t s : snapshots) {
       const std::string what = "k=" + std::to_string(k) +
                                " s=" + std::to_string(s);
       const DistributedStepReport ref = oracle.run_step_reference(s);
@@ -154,6 +164,33 @@ TEST_F(DistributedSimTest, SpmdMatchesReferenceEightThreads) {
   ThreadPool::set_global_threads(8);
   check_bit_identity(5);
   check_bit_identity(9);  // more ranks than a typical pool — still safe
+}
+
+// The oblique scene: the projectile drifts sideways (obliquity 0.3), so the
+// contact zone moves across the partition and erosion opens a slanted
+// crater. The snapshot range runs past the first eroded elements.
+class ObliqueDistributedSimTest : public DistributedSimTest {
+ protected:
+  void SetUp() override {
+    sim_ = std::make_unique<ImpactSim>(scene(0.3));
+    snapshots_ = {0, 8, 16, 22, 26, 30, 34, 38};
+    idx_t eroded = 0;
+    sim_->snapshot_mesh(snapshots_.back(), &eroded);
+    ASSERT_GT(eroded, 0) << "snapshot range never reaches erosion";
+  }
+
+  std::vector<idx_t> snapshots_;
+};
+
+TEST_F(ObliqueDistributedSimTest, SpmdMatchesReferenceSingleThread) {
+  ThreadPool::set_global_threads(1);
+  check_bit_identity(*sim_, 5, snapshots_);
+}
+
+TEST_F(ObliqueDistributedSimTest, SpmdMatchesReferenceEightThreads) {
+  ThreadPool::set_global_threads(8);
+  check_bit_identity(*sim_, 5, snapshots_);
+  check_bit_identity(*sim_, 9, snapshots_);
 }
 
 TEST_F(DistributedSimTest, MigrationStepsMoveStateAndChargeBytes) {
@@ -250,34 +287,49 @@ TEST_F(DistributedSimTest, SingleRankMovesNoBytes) {
 TEST_F(DistributedSimTest, FaultRetryKeepsBitIdentityAcrossMigration) {
   // A seeded low-probability fault schedule with a generous retry budget:
   // every step — migration steps included — must still match the fault-free
-  // twin exactly, with the corruption fully absorbed by retries.
-  ThreadPool::set_global_threads(8);
-  DistributedSim faulty(*sim_, make_config(5, /*period=*/2));
-  DistributedSim clean(*sim_, make_config(5, /*period=*/2));
+  // twin exactly, with the corruption fully absorbed by retries. The fault
+  // schedule is counter-based, so the whole health history and the
+  // injector's statistics are identical at 1 and 8 threads.
   FaultConfig fc;
   fc.seed = chaos_seed();
   fc.cell_fault_probability = 0.10;
-  FaultInjector injector(fc);
-  faulty.exchange().set_fault_injector(&injector);
-  // 0.1^10 per cell chain: no plausible schedule exhausts the budget.
-  faulty.exchange().set_retry_policy({.max_attempts = 10,
-                                      .backoff_base_ms = 0.1});
+  PipelineHealth health_at_1;
+  FaultInjector::Stats stats_at_1;
+  for (unsigned threads : {1u, 8u}) {
+    ThreadPool::set_global_threads(threads);
+    DistributedSim faulty(*sim_, make_config(5, /*period=*/2));
+    DistributedSim clean(*sim_, make_config(5, /*period=*/2));
+    FaultInjector injector(fc);
+    faulty.exchange().set_fault_injector(&injector);
+    // 0.1^10 per cell chain: no plausible schedule exhausts the budget.
+    faulty.exchange().set_retry_policy({.max_attempts = 10,
+                                        .backoff_base_ms = 0.1});
 
-  PipelineHealth total;
-  for (idx_t s = 0; s < 12; ++s) {
-    const DistributedStepReport want = clean.run_step(s);
-    const DistributedStepReport got = faulty.run_step(s);
-    total += got.health;
-    expect_reports_identical(got, want, "faulty s=" + std::to_string(s));
-    EXPECT_EQ(faulty.ownership_map(), clean.ownership_map()) << "s=" << s;
-    EXPECT_EQ(faulty.gather_contact_hits(), clean.gather_contact_hits())
-        << "s=" << s;
+    PipelineHealth total;
+    for (idx_t s = 0; s < 12; ++s) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " s=" + std::to_string(s);
+      const DistributedStepReport want = clean.run_step(s);
+      const DistributedStepReport got = faulty.run_step(s);
+      total += got.health;
+      expect_reports_identical(got, want, what);
+      EXPECT_EQ(faulty.ownership_map(), clean.ownership_map()) << what;
+      EXPECT_EQ(faulty.gather_contact_hits(), clean.gather_contact_hits())
+          << what;
+    }
+    EXPECT_EQ(total.corrupt_cells, injector.stats().faults_injected);
+    EXPECT_GT(injector.stats().faults_injected, 0) << "schedule was empty";
+    EXPECT_GT(total.retries, 0);
+    EXPECT_EQ(total.exhausted_deliveries, 0);
+    EXPECT_EQ(total.degraded_steps, 0);
+    if (threads == 1) {
+      health_at_1 = total;
+      stats_at_1 = injector.stats();
+    } else {
+      EXPECT_EQ(total, health_at_1);
+      EXPECT_EQ(injector.stats(), stats_at_1);
+    }
   }
-  EXPECT_EQ(total.corrupt_cells, injector.stats().faults_injected);
-  EXPECT_GT(injector.stats().faults_injected, 0) << "schedule was empty";
-  EXPECT_GT(total.retries, 0);
-  EXPECT_EQ(total.exhausted_deliveries, 0);
-  EXPECT_EQ(total.degraded_steps, 0);
 }
 
 TEST_F(DistributedSimTest, ExhaustedBudgetDegradesToReferenceNotCrash) {

@@ -102,25 +102,35 @@ TEST(PartitionDeterminism, DirectKwayIdenticalAcrossThreadCounts) {
 /// The parallel matching differs from the serial greedy matching, so the
 /// final cut is not identical — but it must stay in the same quality league.
 /// Compares against the serial path (forced via a huge threshold) on the
-/// kind of mesh Table 1 uses: a structured body partitioned k ways.
+/// kind of mesh Table 1 uses: a structured body partitioned k ways. The
+/// cut of any single seed moves with FM's random tie-breaking, so the
+/// property is stated on the mean cut over seeds 1-8.
 TEST(PartitionQuality, ParallelCoarseningNoCutRegression) {
   const Mesh mesh = make_hex_box(28, 28, 28, {0, 0, 0}, {1, 1, 1});
   const CsrGraph g = nodal_graph(mesh);
   ASSERT_GE(g.num_vertices(), 20000);
 
-  PartitionOptions serial_opts;
-  serial_opts.k = 25;
-  serial_opts.seed = 1;
-  serial_opts.coarsen_parallel_threshold =
-      std::numeric_limits<idx_t>::max();  // seed implementation
-  PartitionOptions parallel_opts = serial_opts;
-  parallel_opts.coarsen_parallel_threshold = 4096;
-
-  const wgt_t serial_cut = edge_cut(g, partition_graph(g, serial_opts));
-  const wgt_t parallel_cut = edge_cut(g, partition_graph(g, parallel_opts));
-  EXPECT_LE(static_cast<double>(parallel_cut),
-            1.05 * static_cast<double>(serial_cut))
-      << "serial=" << serial_cut << " parallel=" << parallel_cut;
+  constexpr int kSeeds = 8;
+  double serial_mean = 0;
+  double parallel_mean = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    PartitionOptions serial_opts;
+    serial_opts.k = 25;
+    serial_opts.seed = static_cast<std::uint64_t>(seed);
+    serial_opts.coarsen_parallel_threshold =
+        std::numeric_limits<idx_t>::max();  // seed implementation
+    PartitionOptions parallel_opts = serial_opts;
+    parallel_opts.coarsen_parallel_threshold = 4096;
+    serial_mean += static_cast<double>(
+                       edge_cut(g, partition_graph(g, serial_opts))) /
+                   kSeeds;
+    parallel_mean += static_cast<double>(
+                         edge_cut(g, partition_graph(g, parallel_opts))) /
+                     kSeeds;
+  }
+  EXPECT_LE(parallel_mean, 1.05 * serial_mean)
+      << "mean cut over seeds 1-" << kSeeds << ": serial=" << serial_mean
+      << " parallel=" << parallel_mean;
 }
 
 TEST(PartitionQuality, ParallelCoarseningPreservesInvariants) {

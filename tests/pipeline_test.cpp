@@ -1,8 +1,10 @@
-// Tests for core/pipeline: the end-to-end parallel step, including the
-// exactness property — the distributed search finds exactly the events a
-// serial search finds (no contact is lost to the decomposition).
+// End-to-end tests of the parallel contact step: the MCML+DT step driven by
+// DistributedSim and the ML+RCB baseline pipeline, including the exactness
+// property — the distributed search finds exactly the events a serial
+// search finds (no contact is lost to the decomposition).
 #include <gtest/gtest.h>
 
+#include "core/distributed_sim.hpp"
 #include "core/pipeline.hpp"
 #include "sim/impact_sim.hpp"
 
@@ -26,12 +28,19 @@ class PipelineTest : public ::testing::Test {
     }
   }
 
-  PipelineConfig config(idx_t k) const {
-    PipelineConfig c;
+  DistributedSimConfig config(idx_t k) const {
+    DistributedSimConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
     return c;
+  }
+
+  std::vector<ContactEvent> serial_events(const ImpactSim::Snapshot& snap) {
+    LocalSearchOptions serial_opts;
+    serial_opts.tolerance = 0.08;
+    serial_opts.body_of_node = body_;
+    return local_contact_search(snap.mesh, snap.surface, serial_opts);
   }
 
   std::unique_ptr<ImpactSim> sim_;
@@ -40,27 +49,22 @@ class PipelineTest : public ::testing::Test {
 };
 
 TEST_F(PipelineTest, RejectsMarginSmallerThanTolerance) {
-  PipelineConfig c = config(4);
+  DistributedSimConfig c = config(4);
   c.search.search_margin = 0.01;
-  EXPECT_THROW(ContactPipeline(snap0_.mesh, snap0_.surface, c), InputError);
+  EXPECT_THROW(DistributedSim(*sim_, c), InputError);
 }
 
 TEST_F(PipelineTest, DistributedSearchMatchesSerial) {
   // The crucial end-to-end property: for any k, the union of per-processor
   // searches equals the serial search — the descriptor filter shipped every
   // element everywhere it was needed.
-  const auto snap = sim_->snapshot(29);  // impact on the upper plate region
-  LocalSearchOptions serial_opts;
-  serial_opts.tolerance = 0.08;
-  serial_opts.body_of_node = body_;
-  const auto serial =
-      local_contact_search(snap.mesh, snap.surface, serial_opts);
+  const idx_t s = 29;  // impact on the upper plate region
+  const auto serial = serial_events(sim_->snapshot(s));
   ASSERT_GT(serial.size(), 0u) << "scenario produced no contacts to verify";
 
   for (idx_t k : {idx_t{2}, idx_t{5}, idx_t{9}}) {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(k));
-    const PipelineStepReport report =
-        pipeline.run_step(snap.mesh, snap.surface, body_);
+    DistributedSim dsim(*sim_, config(k));
+    const DistributedStepReport report = dsim.run_step(s);
     ASSERT_EQ(report.events.size(), serial.size()) << "k=" << k;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(report.events[i].node, serial[i].node) << "k=" << k;
@@ -71,9 +75,8 @@ TEST_F(PipelineTest, DistributedSearchMatchesSerial) {
 }
 
 TEST_F(PipelineTest, ReportBookkeepingConsistent) {
-  const auto snap = sim_->snapshot(29);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(6));
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+  DistributedSim dsim(*sim_, config(6));
+  const DistributedStepReport r = dsim.run_step(29);
   // Per-processor counts sum to the total.
   idx_t sum = 0;
   for (idx_t c : r.events_per_processor) sum += c;
@@ -90,9 +93,8 @@ TEST_F(PipelineTest, ReportBookkeepingConsistent) {
 
 TEST_F(PipelineTest, QuietSnapshotHasNoEvents) {
   // Snapshot 0: the projectile hovers above the plate beyond tolerance.
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(4));
-  const PipelineStepReport r =
-      pipeline.run_step(snap0_.mesh, snap0_.surface, body_);
+  DistributedSim dsim(*sim_, config(4));
+  const DistributedStepReport r = dsim.run_step(0);
   EXPECT_EQ(r.contact_events, 0);
   EXPECT_GT(r.fe_exchange.total_units(), 0);  // halo exchange still happens
 }
@@ -101,12 +103,7 @@ TEST_F(PipelineTest, MlRcbPipelineMatchesSerialToo) {
   // The baseline's bounding-box filter is also conservative: its
   // distributed search must reproduce the serial events as well. Note the
   // ML+RCB local search runs in the *RCB* decomposition of contact nodes.
-  const auto snap = sim_->snapshot(29);
-  LocalSearchOptions serial_opts;
-  serial_opts.tolerance = 0.08;
-  serial_opts.body_of_node = body_;
-  const auto serial =
-      local_contact_search(snap.mesh, snap.surface, serial_opts);
+  const auto serial = serial_events(sim_->snapshot(29));
   ASSERT_GT(serial.size(), 0u);
 
   MlRcbPipelineConfig config;
@@ -142,18 +139,13 @@ TEST_F(PipelineTest, MlRcbCouplingIsEvenUnits) {
 }
 
 TEST_F(PipelineTest, SingleProcessorDegenerates) {
-  const auto snap = sim_->snapshot(29);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, config(1));
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
+  const idx_t s = 29;
+  DistributedSim dsim(*sim_, config(1));
+  const DistributedStepReport r = dsim.run_step(s);
   EXPECT_EQ(r.fe_exchange.total_units(), 0);
   EXPECT_EQ(r.search_exchange.total_units(), 0);
   EXPECT_EQ(r.descriptor_broadcast_bytes, 0);  // nobody to broadcast to
-  LocalSearchOptions serial_opts;
-  serial_opts.tolerance = 0.08;
-  serial_opts.body_of_node = body_;
-  const auto serial =
-      local_contact_search(snap.mesh, snap.surface, serial_opts);
-  EXPECT_EQ(r.events.size(), serial.size());
+  EXPECT_EQ(r.events.size(), serial_events(sim_->snapshot(s)).size());
 }
 
 }  // namespace

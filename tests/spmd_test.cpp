@@ -1,10 +1,12 @@
-// SPMD-vs-centralized equivalence: the rank/exchange execution of both
-// pipelines must be bit-identical to the retained centralized reference —
+// SPMD-vs-centralized equivalence of the ML+RCB baseline: its rank/exchange
+// execution must be bit-identical to the retained centralized reference —
 // merged events, per-rank event counts, and per-processor traffic — at 1
-// worker thread and at 8, and the executed exchange traffic must equal the
-// analytic drivers on the same decomposition.
+// worker thread and at 8. The MCML+DT step's executed halo traffic must
+// equal the analytic driver on the same decomposition (the MCML+DT
+// SPMD-vs-reference suite is tests/distributed_test.cpp).
 #include <gtest/gtest.h>
 
+#include "core/distributed_sim.hpp"
 #include "core/pipeline.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -54,52 +56,12 @@ class SpmdTest : public ::testing::Test {
     ThreadPool::set_global_threads(0);
   }
 
-  PipelineConfig dt_config(idx_t k) const {
-    PipelineConfig c;
-    c.decomposition.k = k;
-    c.search.search_margin = 0.12;
-    c.search.contact_tolerance = 0.08;
-    return c;
-  }
-
   MlRcbPipelineConfig rcb_config(idx_t k) const {
     MlRcbPipelineConfig c;
     c.decomposition.k = k;
     c.search.search_margin = 0.12;
     c.search.contact_tolerance = 0.08;
     return c;
-  }
-
-  // One pipeline instance runs both flavors per snapshot (the reference is
-  // const) and every report field is compared.
-  void check_contact_pipeline(idx_t k) {
-    ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
-    for (idx_t s : {idx_t{0}, idx_t{10}, idx_t{29}, idx_t{45}}) {
-      const auto snap = sim_->snapshot(s);
-      const PipelineStepReport ref =
-          pipeline.run_step_reference(snap.mesh, snap.surface, body_);
-      const PipelineStepReport got =
-          pipeline.run_step(snap.mesh, snap.surface, body_);
-      expect_events_identical(got.events, ref.events, "contact");
-      EXPECT_EQ(got.events_per_processor, ref.events_per_processor);
-      EXPECT_EQ(got.contact_events, ref.contact_events);
-      EXPECT_EQ(got.penetrating_events, ref.penetrating_events);
-      EXPECT_EQ(got.fe_exchange, ref.fe_exchange) << "s=" << s;
-      EXPECT_EQ(got.search_exchange, ref.search_exchange) << "s=" << s;
-      EXPECT_EQ(got.descriptor_tree_nodes, ref.descriptor_tree_nodes);
-      EXPECT_EQ(got.descriptor_broadcast_bytes, ref.descriptor_broadcast_bytes);
-      // The halo payload is one HaloNodeMsg per analytic halo unit.
-      EXPECT_EQ(got.halo_payload_bytes,
-                got.fe_exchange.total_units() * wire_bytes(HaloNodeMsg{}));
-      // A fault-free transport must be clean: checksums all verified, no
-      // retries, no degradation — and exactly 3 deliveries per step.
-      EXPECT_TRUE(got.health.clean()) << got.health.summary();
-      EXPECT_FALSE(got.health.degraded());
-      EXPECT_EQ(got.health.deliveries, 3);
-      EXPECT_EQ(got.health.delivery_attempts, got.health.deliveries);
-      // The reference path runs no transport at all.
-      EXPECT_EQ(ref.health, PipelineHealth{});
-    }
   }
 
   // The RCB update is stateful, so the SPMD and reference flavors each
@@ -135,19 +97,6 @@ class SpmdTest : public ::testing::Test {
   std::vector<int> body_;
 };
 
-TEST_F(SpmdTest, ContactPipelineMatchesReferenceSingleThread) {
-  ThreadPool::set_global_threads(1);
-  check_contact_pipeline(2);
-  check_contact_pipeline(6);
-}
-
-TEST_F(SpmdTest, ContactPipelineMatchesReferenceEightThreads) {
-  ThreadPool::set_global_threads(8);
-  check_contact_pipeline(2);
-  check_contact_pipeline(6);
-  check_contact_pipeline(9);  // more ranks than a typical pool — still safe
-}
-
 TEST_F(SpmdTest, MlRcbPipelineMatchesReferenceSingleThread) {
   ThreadPool::set_global_threads(1);
   check_mlrcb_pipeline(4);
@@ -165,27 +114,38 @@ TEST_F(SpmdTest, SpmdTrafficMatchesAnalyticDrivers) {
   // (SPMD == centralized == analytic).
   ThreadPool::set_global_threads(8);
   const idx_t k = 5;
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
-  const auto snap = sim_->snapshot(29);
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
-  const CsrGraph graph = nodal_graph(snap.mesh);
-  const StepTraffic analytic =
-      fe_halo_traffic(graph, pipeline.partitioner().node_partition(), k);
-  EXPECT_EQ(r.fe_exchange, analytic);
+  DistributedSimConfig config;
+  config.decomposition.k = k;
+  config.search.search_margin = 0.12;
+  config.search.contact_tolerance = 0.08;
+  DistributedSim dsim(*sim_, config);
+  // Snapshot 45 is past the first eroded elements. The rank states track
+  // the element closure over the immutable topology (erosion is a per-step
+  // predicate, not a connectivity change), so the analytic halo runs on the
+  // nodal graph of the initial mesh.
+  const idx_t s = 45;
+  ASSERT_LT(sim_->snapshot(s).mesh.num_elements(),
+            dsim.topology().mesh().num_elements());
+  const DistributedStepReport r = dsim.run_step(s);
+  const CsrGraph graph = nodal_graph(dsim.topology().mesh());
+  EXPECT_EQ(r.fe_exchange, fe_halo_traffic(graph, dsim.ownership_map(), k));
 }
 
 TEST_F(SpmdTest, SingleRankMovesNoBytes) {
   ThreadPool::set_global_threads(8);
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(1));
+  MlRcbPipeline spmd(snap0_.mesh, snap0_.surface, rcb_config(1));
+  MlRcbPipeline oracle(snap0_.mesh, snap0_.surface, rcb_config(1));
   const auto snap = sim_->snapshot(29);
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
-  EXPECT_EQ(r.descriptor_broadcast_bytes, 0);
+  const MlRcbStepReport r = spmd.run_step(snap.mesh, snap.surface, body_);
   EXPECT_EQ(r.halo_payload_bytes, 0);
   EXPECT_EQ(r.face_payload_bytes, 0);
+  EXPECT_EQ(r.coupling_payload_bytes, 0);
+  EXPECT_EQ(r.box_allgather_bytes, 0);
   EXPECT_EQ(r.fe_exchange.total_units(), 0);
+  EXPECT_EQ(r.coupling_exchange.total_units(), 0);
   EXPECT_EQ(r.search_exchange.total_units(), 0);
-  const PipelineStepReport ref =
-      pipeline.run_step_reference(snap.mesh, snap.surface, body_);
+  const MlRcbStepReport ref =
+      oracle.run_step_reference(snap.mesh, snap.surface, body_);
   expect_events_identical(r.events, ref.events, "k=1");
 }
 
@@ -206,14 +166,6 @@ TEST_F(SpmdTest, ForeignSnapshotIsRejected) {
   std::vector<int> foreign_body(
       static_cast<std::size_t>(foreign.mesh.num_nodes()), 0);
 
-  ContactPipeline contact(snap0_.mesh, snap0_.surface, dt_config(3));
-  EXPECT_THROW(
-      contact.run_step(foreign.mesh, foreign.surface, foreign_body),
-      InputError);
-  EXPECT_THROW(
-      contact.run_step_reference(foreign.mesh, foreign.surface, foreign_body),
-      InputError);
-
   MlRcbPipeline mlrcb(snap0_.mesh, snap0_.surface, rcb_config(3));
   EXPECT_THROW(mlrcb.run_step(foreign.mesh, foreign.surface, foreign_body),
                InputError);
@@ -229,31 +181,9 @@ TEST_F(SpmdTest, GrowingElementCountIsRejected) {
   ThreadPool::set_global_threads(4);
   const auto late = sim_->snapshot(45);
   ASSERT_LT(late.mesh.num_elements(), snap0_.mesh.num_elements());
-  ContactPipeline contact(late.mesh, late.surface, dt_config(3));
-  EXPECT_THROW(contact.run_step(snap0_.mesh, snap0_.surface, body_),
-               InputError);
   MlRcbPipeline mlrcb(late.mesh, late.surface, rcb_config(3));
   EXPECT_THROW(mlrcb.run_step(snap0_.mesh, snap0_.surface, body_),
                InputError);
-}
-
-TEST_F(SpmdTest, PhaseTimingsCoverEveryRank) {
-  ThreadPool::set_global_threads(4);
-  const idx_t k = 6;
-  ContactPipeline pipeline(snap0_.mesh, snap0_.surface, dt_config(k));
-  const auto snap = sim_->snapshot(29);
-  const PipelineStepReport r = pipeline.run_step(snap.mesh, snap.surface, body_);
-  ASSERT_EQ(r.phase.descriptor_ms.size(), static_cast<std::size_t>(k));
-  ASSERT_EQ(r.phase.halo_ms.size(), static_cast<std::size_t>(k));
-  ASSERT_EQ(r.phase.ship_ms.size(), static_cast<std::size_t>(k));
-  ASSERT_EQ(r.phase.search_ms.size(), static_cast<std::size_t>(k));
-  for (idx_t q = 0; q < k; ++q) {
-    EXPECT_GE(r.phase.search_ms[static_cast<std::size_t>(q)], 0.0);
-  }
-  // The reference path has no per-rank execution: its breakdown is empty.
-  const PipelineStepReport ref =
-      pipeline.run_step_reference(snap.mesh, snap.surface, body_);
-  EXPECT_TRUE(ref.phase.search_ms.empty());
 }
 
 }  // namespace

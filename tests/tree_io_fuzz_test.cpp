@@ -3,11 +3,12 @@
 // raise the structured TreeParseError (or InputError for structural damage
 // a clean scan still uncovers), never assert, crash, or return a partial
 // tree. These are the wires the SPMD descriptor broadcast ships every step,
-// so the parser is a trust boundary of the transport.
+// so the decoder is a trust boundary of the transport.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "tree/descriptor_tree.hpp"
@@ -19,7 +20,7 @@ namespace cpart {
 namespace {
 
 /// A small but real descriptor tree (several internal nodes, minority
-/// lists), serialized through the production writer.
+/// lists), serialized through the production encoder.
 std::string real_wire() {
   std::vector<Vec3> points;
   std::vector<idx_t> labels;
@@ -31,171 +32,20 @@ std::string real_wire() {
   DescriptorOptions options;
   options.dim = 3;
   const SubdomainDescriptors descriptors(points, labels, 4, options);
-  return tree_to_string(descriptors.tree());
+  return tree_to_binary(descriptors.tree());
 }
 
-class TreeIoFuzzTest : public ::testing::Test {
+class TreeIoBinaryFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override { wire_ = real_wire(); }
   std::string wire_;
 };
 
-TEST_F(TreeIoFuzzTest, RoundTripSanity) {
-  const DecisionTree parsed = tree_from_string(wire_);
-  EXPECT_GT(parsed.num_nodes(), 1);
-  EXPECT_TRUE(trees_equal(parsed, tree_from_string(tree_to_string(parsed))));
-}
-
-TEST_F(TreeIoFuzzTest, EmptyAndJunkInputs) {
-  EXPECT_THROW(tree_from_string(""), TreeParseError);
-  EXPECT_THROW(tree_from_string("   \n\t  "), TreeParseError);
-  EXPECT_THROW(tree_from_string("not a tree at all"), TreeParseError);
-  EXPECT_THROW(tree_from_string("cparttree"), TreeParseError);     // no version
-  EXPECT_THROW(tree_from_string("cparttree 2\n0 -1\n"), TreeParseError);
-  EXPECT_THROW(tree_from_string("cparttree one\n"), TreeParseError);
-}
-
-TEST_F(TreeIoFuzzTest, TruncationAtEveryRegionFails) {
-  // Cutting the wire anywhere strictly inside the payload must fail with a
-  // structured error whose offset is within the truncated text.
-  for (double frac : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
-    const std::size_t cut =
-        static_cast<std::size_t>(frac * static_cast<double>(wire_.size()));
-    const std::string t = wire_.substr(0, cut);
-    try {
-      tree_from_string(t);
-      // A lucky cut can land exactly on a record boundary only if it also
-      // drops whole nodes, which assemble_tree then rejects (count
-      // mismatch / bad children) — so reaching here means the cut text
-      // parsed fully, which must not happen for a strict prefix.
-      FAIL() << "truncation at " << cut << " parsed";
-    } catch (const TreeParseError& e) {
-      EXPECT_LE(e.byte_offset(), t.size()) << "cut=" << cut;
-      EXPECT_NE(std::string(e.what()).find("byte"), std::string::npos);
-    } catch (const InputError&) {
-      // Structurally invalid after a clean scan — equally acceptable.
-    }
-  }
-}
-
-TEST_F(TreeIoFuzzTest, TrailingGarbageRejectedTrailingSpaceAccepted) {
-  EXPECT_THROW(tree_from_string(wire_ + "42"), TreeParseError);
-  EXPECT_THROW(tree_from_string(wire_ + "extra tokens here"), TreeParseError);
-  EXPECT_NO_THROW(tree_from_string(wire_ + "  \n\t \n"));
-}
-
-TEST_F(TreeIoFuzzTest, NonNumericFlipsFail) {
-  // Replace digit characters with letters at scattered positions: the
-  // scanner must reject the token (never assert or mis-read).
-  Rng rng(11);
-  int flips = 0;
-  while (flips < 40) {
-    const std::size_t i = static_cast<std::size_t>(
-        rng.uniform_int(to_idx(wire_.size())));
-    if (wire_[i] < '0' || wire_[i] > '9') continue;
-    std::string t = wire_;
-    t[i] = static_cast<char>('g' + (flips % 16));
-    ++flips;
-    try {
-      tree_from_string(t);
-      // 'e'-adjacent digits can survive as exponent syntax; tolerate
-      // parse success only if the text still scans as numbers.
-    } catch (const TreeParseError&) {
-    } catch (const InputError&) {
-    }
-  }
-  // A flip inside the magic word is always fatal.
-  std::string t = wire_;
-  t[2] = 'X';
-  EXPECT_THROW(tree_from_string(t), TreeParseError);
-}
-
-TEST_F(TreeIoFuzzTest, WrongNodeCountsFail) {
-  // The header is "cparttree 1\n<count> <root>\n...".
-  const std::size_t header_end = wire_.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  const std::size_t counts_end = wire_.find('\n', header_end + 1);
-  ASSERT_NE(counts_end, std::string::npos);
-  const std::string header = wire_.substr(0, header_end + 1);
-  const std::string body = wire_.substr(counts_end);
-  const std::string counts =
-      wire_.substr(header_end + 1, counts_end - header_end - 1);
-  const std::size_t space = counts.find(' ');
-  const long long true_count = std::stoll(counts.substr(0, space));
-  const std::string root = counts.substr(space);
-
-  // Claiming more nodes than are encoded: the scanner runs out of input.
-  EXPECT_THROW(tree_from_string(header + std::to_string(true_count + 3) +
-                                root + body),
-               TreeParseError);
-  // An absurd count must be rejected up front (bounded by the remaining
-  // bytes), not turned into a giant preallocation.
-  EXPECT_THROW(tree_from_string(header + "999999999" + root + body),
-               TreeParseError);
-  EXPECT_THROW(tree_from_string(header + "-2" + root + body), TreeParseError);
-  // Claiming fewer nodes: the surplus records become trailing garbage.
-  EXPECT_THROW(tree_from_string(header + std::to_string(true_count - 1) +
-                                root + body),
-               InputError);
-}
-
-TEST_F(TreeIoFuzzTest, SeededMutationSoakNeverCrashes) {
-  // 300 random single-edit mutations (overwrite, delete, insert) of the
-  // real wire: each must either parse to a tree or raise InputError /
-  // TreeParseError — nothing else, and no partial state to observe.
-  Rng rng(1234);
-  int parsed = 0, rejected = 0;
-  for (int iter = 0; iter < 300; ++iter) {
-    std::string t = wire_;
-    const int edit = static_cast<int>(rng.uniform_int(3));
-    const std::size_t i =
-        static_cast<std::size_t>(rng.uniform_int(to_idx(t.size())));
-    if (edit == 0) {
-      t[i] = static_cast<char>(rng.uniform_int(96) + 32);
-    } else if (edit == 1) {
-      t.erase(i, 1 + static_cast<std::size_t>(rng.uniform_int(8)));
-    } else {
-      t.insert(i, std::string(1 + static_cast<std::size_t>(rng.uniform_int(4)),
-                              static_cast<char>(rng.uniform_int(96) + 32)));
-    }
-    try {
-      const DecisionTree tree = tree_from_string(t);
-      EXPECT_GE(tree.num_nodes(), 0);
-      ++parsed;
-    } catch (const InputError&) {  // includes TreeParseError
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(parsed + rejected, 300);
-  // Sanity: single-character mutations of a checksummed-size wire should
-  // overwhelmingly be caught.
-  EXPECT_GT(rejected, 150);
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec: the same trust-boundary guarantees for the cptb wire.
-// ---------------------------------------------------------------------------
-
-/// The binary serialization of the same production descriptor tree.
-class TreeIoBinaryFuzzTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    text_ = real_wire();
-    wire_ = tree_to_binary(tree_from_string(text_));
-  }
-  std::string text_;
-  std::string wire_;
-};
-
 TEST_F(TreeIoBinaryFuzzTest, RoundTripSanity) {
-  const DecisionTree parsed = tree_from_binary(wire_);
+  const DecisionTree parsed = decode_tree(wire_);
   EXPECT_GT(parsed.num_nodes(), 1);
-  EXPECT_TRUE(trees_equal(parsed, tree_from_string(text_)));
-  EXPECT_TRUE(trees_equal(parsed, tree_from_binary(tree_to_binary(parsed))));
-  // decode_tree dispatches on the magic and accepts both encodings.
-  EXPECT_TRUE(trees_equal(decode_tree(wire_), decode_tree(text_)));
-  EXPECT_EQ(encode_tree(parsed, TreeWireFormat::kBinary), wire_);
-  EXPECT_EQ(encode_tree(parsed, TreeWireFormat::kText), text_);
+  EXPECT_TRUE(trees_equal(parsed, decode_tree(tree_to_binary(parsed))));
+  EXPECT_EQ(tree_to_binary(parsed), wire_);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, RandomizedRoundTripProperty) {
@@ -220,14 +70,14 @@ TEST_F(TreeIoBinaryFuzzTest, RandomizedRoundTripProperty) {
     opts.want_point_leaf = false;
     const InducedTree t = induce_tree(pts, labels, num_labels, opts);
     const std::string bin = tree_to_binary(t.tree);
-    const DecisionTree back = tree_from_binary(bin);
+    const DecisionTree back = decode_tree(bin);
     ASSERT_TRUE(trees_equal(t.tree, back)) << "iter=" << iter;
     ASSERT_EQ(tree_to_binary(back), bin) << "iter=" << iter;
   }
   // Empty tree.
   const InducedTree empty = induce_tree({}, {}, 1);
   EXPECT_TRUE(trees_equal(empty.tree,
-                          tree_from_binary(tree_to_binary(empty.tree))));
+                          decode_tree(tree_to_binary(empty.tree))));
 }
 
 TEST_F(TreeIoBinaryFuzzTest, GoldenBytesPinWireVersion) {
@@ -272,22 +122,22 @@ TEST_F(TreeIoBinaryFuzzTest, GoldenBytesPinWireVersion) {
       "00d03f000000000000f03f000000000000f03fff000000000000000000ffffffffff"
       "ffffff0100000002000000000000000000e03f000000000000000000000000000000"
       "00000000000000f03f000000000000f03f000000000000f03f00000100");
-  EXPECT_TRUE(trees_equal(tree, tree_from_binary(bin)));
+  EXPECT_TRUE(trees_equal(tree, decode_tree(bin)));
 }
 
 TEST_F(TreeIoBinaryFuzzTest, EmptyAndJunkInputs) {
-  EXPECT_THROW(tree_from_binary(""), TreeParseError);
-  EXPECT_THROW(tree_from_binary("cpt"), TreeParseError);
-  EXPECT_THROW(tree_from_binary("cptx\x01"), TreeParseError);
-  EXPECT_THROW(tree_from_binary("not a tree at all"), TreeParseError);
-  EXPECT_THROW(tree_from_binary("cptb"), TreeParseError);  // no version
+  EXPECT_THROW(decode_tree(""), TreeParseError);
+  EXPECT_THROW(decode_tree("cpt"), TreeParseError);
+  EXPECT_THROW(decode_tree("cptx\x01"), TreeParseError);
+  EXPECT_THROW(decode_tree("not a tree at all"), TreeParseError);
+  EXPECT_THROW(decode_tree("cptb"), TreeParseError);  // no version
   std::string v2 = wire_;
   v2[4] = 2;  // unknown version byte
-  EXPECT_THROW(tree_from_binary(v2), TreeParseError);
-  // Text magic fed to the binary parser and vice versa: structured errors.
-  EXPECT_THROW(tree_from_binary(text_), TreeParseError);
-  EXPECT_THROW(tree_from_string(wire_), TreeParseError);
-  // decode_tree rejects junk that matches neither magic.
+  EXPECT_THROW(decode_tree(v2), TreeParseError);
+  // The write_tree debug dump is not a wire: a structured error.
+  std::ostringstream dump;
+  write_tree(dump, decode_tree(wire_));
+  EXPECT_THROW(decode_tree(dump.str()), TreeParseError);
   EXPECT_THROW(decode_tree("zzzz junk"), TreeParseError);
 }
 
@@ -297,7 +147,7 @@ TEST_F(TreeIoBinaryFuzzTest, TruncationAtEveryRegionFails) {
         static_cast<std::size_t>(frac * static_cast<double>(wire_.size()));
     const std::string t = wire_.substr(0, cut);
     try {
-      tree_from_binary(t);
+      decode_tree(t);
       FAIL() << "truncation at " << cut << " parsed";
     } catch (const TreeParseError& e) {
       EXPECT_LE(e.byte_offset(), t.size()) << "cut=" << cut;
@@ -308,14 +158,14 @@ TEST_F(TreeIoBinaryFuzzTest, TruncationAtEveryRegionFails) {
   // Truncating whole trailing minority sections can scan cleanly only if
   // the node count still covers the records; dropping any record suffix
   // must fail. Chop exactly one byte:
-  EXPECT_THROW(tree_from_binary(wire_.substr(0, wire_.size() - 1)),
+  EXPECT_THROW(decode_tree(wire_.substr(0, wire_.size() - 1)),
                InputError);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, TrailingBytesRejected) {
-  EXPECT_THROW(tree_from_binary(wire_ + std::string(1, '\0')),
+  EXPECT_THROW(decode_tree(wire_ + std::string(1, '\0')),
                TreeParseError);
-  EXPECT_THROW(tree_from_binary(wire_ + "extra"), TreeParseError);
+  EXPECT_THROW(decode_tree(wire_ + "extra"), TreeParseError);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, WrongNodeCountsFail) {
@@ -333,21 +183,21 @@ TEST_F(TreeIoBinaryFuzzTest, WrongNodeCountsFail) {
     return w;
   };
   // Claiming more nodes than encoded: scanner runs out of input.
-  EXPECT_THROW(tree_from_binary(with_count(true_count + 3)), TreeParseError);
+  EXPECT_THROW(decode_tree(with_count(true_count + 3)), TreeParseError);
   // An absurd count is rejected up front, bounded by the remaining bytes.
-  EXPECT_THROW(tree_from_binary(with_count(999999999)), TreeParseError);
-  EXPECT_THROW(tree_from_binary(with_count(std::uint64_t{1} << 40)),
+  EXPECT_THROW(decode_tree(with_count(999999999)), TreeParseError);
+  EXPECT_THROW(decode_tree(with_count(std::uint64_t{1} << 40)),
                TreeParseError);
   // Claiming fewer nodes: surplus records become minority garbage or
   // trailing bytes; either structured rejection is fine.
-  EXPECT_THROW(tree_from_binary(with_count(true_count - 1)), InputError);
+  EXPECT_THROW(decode_tree(with_count(true_count - 1)), InputError);
 }
 
 TEST_F(TreeIoBinaryFuzzTest, SeededMutationSoakNeverCrashes) {
   // 400 random single-edit mutations (overwrite, delete, insert) of the
   // real binary wire: each must either parse to a tree or raise
-  // InputError / TreeParseError — nothing else. Unlike the text soak, many
-  // overwrites land in f64 payload bytes (cuts, bounds) and legitimately
+  // InputError / TreeParseError — nothing else. Many overwrites land in
+  // f64 payload bytes (cuts, bounds) and legitimately
   // still scan; transport-level detection of those is the checksum frame's
   // job (chaos_test), not the parser's.
   Rng rng(4321);
@@ -366,7 +216,7 @@ TEST_F(TreeIoBinaryFuzzTest, SeededMutationSoakNeverCrashes) {
                               static_cast<char>(rng.uniform_int(256))));
     }
     try {
-      const DecisionTree tree = tree_from_binary(t);
+      const DecisionTree tree = decode_tree(t);
       EXPECT_GE(tree.num_nodes(), 0);
       ++parsed;
     } catch (const InputError&) {  // includes TreeParseError
