@@ -1,11 +1,12 @@
 // Thread-scaling benchmark for the multilevel partitioner hot path.
 //
-// Runs the direct k-way pipeline phase by phase (coarsening chain, initial
-// partition of the coarsest graph, refinement during uncoarsening plus the
-// final polish) at each requested thread count, and reports per-phase wall
-// time, edge-cut and worst-constraint balance. Because the parallel matching
-// resolves conflicts by permutation rank, the partition — and therefore the
-// cut — is identical at every thread count; only the timings change.
+// Runs the direct k-way partitioner (partition_graph_kway) at each requested
+// thread count and reports its per-phase wall time (coarsening chain,
+// initial partition of the coarsest graph, refinement during uncoarsening
+// plus the final polish), edge-cut and worst-constraint balance. Because
+// the parallel matching resolves conflicts by permutation rank, the
+// partition — and therefore the cut — is identical at every thread count;
+// only the timings change.
 //
 //   ./bench_partition [--nx 60] [--k 16] [--threads 1,2,4,8] [--seed 1]
 //                     [--reps 3] [--out BENCH_partition.json]
@@ -45,9 +46,8 @@
 #include "mesh/chunked_mesh.hpp"
 #include "mesh/mesh_graphs.hpp"
 #include "parallel/thread_pool.hpp"
-#include "partition/coarsen.hpp"
-#include "partition/connectivity.hpp"
 #include "partition/hierarchical.hpp"
+#include "partition/kway_multilevel.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -56,72 +56,6 @@
 using namespace cpart;
 
 namespace {
-
-struct PhaseTimes {
-  double coarsen_ms = 0;
-  double initial_ms = 0;
-  double refine_ms = 0;
-  double total_ms() const { return coarsen_ms + initial_ms + refine_ms; }
-};
-
-/// The direct k-way pipeline of partition_graph_kway, instrumented per phase.
-/// Must stay behaviourally identical to kway_multilevel.cpp so the reported
-/// cut matches what the library produces.
-std::vector<idx_t> timed_kway(const CsrGraph& g, const PartitionOptions& options,
-                              PhaseTimes& times) {
-  const idx_t k = options.k;
-  Rng rng(options.seed ^ 0x517cc1b727220a95ULL);
-
-  Timer timer;
-  CoarsenOptions copts;
-  copts.parallel_threshold = options.coarsen_parallel_threshold;
-  const idx_t coarsest_size =
-      std::max<idx_t>(options.coarsen_target / 4, 15) * k;
-  std::vector<Coarsening> chain;
-  const CsrGraph* cur = &g;
-  while (cur->num_vertices() > coarsest_size) {
-    Coarsening c = coarsen_once(*cur, rng, copts);
-    if (c.coarse.num_vertices() > cur->num_vertices() * 19 / 20) break;
-    chain.push_back(std::move(c));
-    cur = &chain.back().coarse;
-  }
-  times.coarsen_ms = timer.milliseconds();
-
-  timer.reset();
-  PartitionOptions init = options;
-  init.epsilon = std::max(0.02, options.epsilon * 0.8);
-  init.kway_passes = 0;
-  std::vector<idx_t> part = partition_graph(*cur, init);
-  times.initial_ms = timer.milliseconds();
-
-  timer.reset();
-  KwayRefineOptions refine;
-  refine.k = k;
-  refine.epsilon = options.epsilon;
-  refine.passes = std::max(4, options.kway_passes / 2);
-  kway_refine(*cur, part, refine, rng);
-  for (std::size_t i = chain.size(); i-- > 0;) {
-    const CsrGraph& fine = (i == 0) ? g : chain[i - 1].coarse;
-    std::vector<idx_t> fine_part(static_cast<std::size_t>(fine.num_vertices()));
-    const std::vector<idx_t>& map = chain[i].coarse_of_fine;
-    ThreadPool::global().parallel_for(fine.num_vertices(), [&](idx_t v) {
-      fine_part[static_cast<std::size_t>(v)] =
-          part[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
-    });
-    kway_refine(fine, fine_part, refine, rng);
-    part = std::move(fine_part);
-  }
-  if (options.kway_passes > 0) {
-    KwayRefineOptions polish = refine;
-    polish.passes = options.kway_passes;
-    for (int round = 0; round < 2; ++round) {
-      merge_partition_fragments(g, part, k);
-      kway_refine(g, part, polish, rng);
-    }
-  }
-  times.refine_ms = timer.milliseconds();
-  return part;
-}
 
 /// Process peak RSS in bytes (0 when the platform cannot report it).
 std::size_t peak_rss_bytes() {
@@ -287,7 +221,7 @@ int main(int argc, char** argv) {
     // of biasing whichever row happened to run during them; the fastest
     // repetition per thread count is reported.
     const int reps = std::max(1, static_cast<int>(flags.get_int("reps")));
-    std::vector<PhaseTimes> best(thread_counts.size());
+    std::vector<KwayPhaseTimes> best(thread_counts.size());
     std::vector<std::vector<idx_t>> best_part(thread_counts.size());
     for (int rep = 0; rep < reps; ++rep) {
       for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
@@ -295,11 +229,11 @@ int main(int argc, char** argv) {
         if (rep == 0) {
           // Warm-up pass so thread start-up and page faults don't pollute
           // the measured runs.
-          PhaseTimes warm;
-          timed_kway(g, opts, warm);
+          partition_graph_kway(g, opts);
         }
-        PhaseTimes rep_times;
-        std::vector<idx_t> rep_part = timed_kway(g, opts, rep_times);
+        KwayPhaseTimes rep_times;
+        std::vector<idx_t> rep_part =
+            partition_graph_kway(g, opts, &rep_times);
         if (rep == 0 || rep_times.total_ms() < best[ti].total_ms()) {
           best[ti] = rep_times;
           best_part[ti] = std::move(rep_part);
@@ -311,7 +245,7 @@ int main(int argc, char** argv) {
     bool first = true;
     for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
       const unsigned t = thread_counts[ti];
-      const PhaseTimes& times = best[ti];
+      const KwayPhaseTimes& times = best[ti];
       const std::vector<idx_t>& part = best_part[ti];
       const wgt_t cut = edge_cut(g, part);
       const double balance = max_load_imbalance(g, part, k);

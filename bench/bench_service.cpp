@@ -76,15 +76,6 @@ StepFingerprint fingerprint(const DistributedStepReport& r) {
 
 std::string session_name(idx_t i) { return "s" + std::to_string(i); }
 
-void health_json(std::ostream& os, const PipelineHealth& h) {
-  os << "{\"deliveries\": " << h.deliveries << ", \"retries\": " << h.retries
-     << ", \"checksum_failures\": " << h.checksum_failures
-     << ", \"exhausted_deliveries\": " << h.exhausted_deliveries
-     << ", \"degraded_steps\": " << h.degraded_steps
-     << ", \"rank_deaths\": " << h.rank_deaths
-     << ", \"recoveries\": " << h.recoveries << "}";
-}
-
 double percentile_of(std::vector<double> samples, double q) {
   std::sort(samples.begin(), samples.end());
   return StatRegistry::percentile(samples, q);
@@ -334,7 +325,7 @@ int main(int argc, char** argv) {
            << ", \"items_executed\": " << sched.items_executed
            << ", \"gang_slots_executed\": " << sched.gang_slots_executed
            << "},\n   \"health\": ";
-      health_json(json, stats.health);
+      json << stats.health.json();
       json << "}";
     }
     json << "\n ]";

@@ -80,41 +80,6 @@ bool distributed_reports_identical(const DistributedStepReport& a,
          a.ownership_hash == b.ownership_hash;
 }
 
-void health_json(std::ostream& os, const PipelineHealth& h) {
-  os << "{\"deliveries\": " << h.deliveries
-     << ", \"attempts\": " << h.delivery_attempts
-     << ", \"retries\": " << h.retries
-     << ", \"corrupt_cells\": " << h.corrupt_cells
-     << ", \"checksum_failures\": " << h.checksum_failures
-     << ", \"count_mismatches\": " << h.count_mismatches
-     << ", \"redelivered_bytes\": " << h.redelivered_bytes
-     << ", \"exhausted_deliveries\": " << h.exhausted_deliveries
-     << ", \"degraded_steps\": " << h.degraded_steps
-     << ", \"wire_parse_failures\": " << h.wire_parse_failures
-     << ", \"failed_ranks\": " << h.failed_ranks
-     << ", \"rank_deaths\": " << h.rank_deaths
-     << ", \"recoveries\": " << h.recoveries
-     << ", \"replay_steps\": " << h.replay_steps
-     << ", \"checkpoints_written\": " << h.checkpoints_written
-     << ", \"checkpoint_write_failures\": " << h.checkpoint_write_failures
-     << ", \"backoff_ms\": " << h.backoff_ms
-     << ", \"readiness_stalls\": " << h.readiness_stalls
-     << ", \"readiness_stall_ns\": " << h.readiness_stall_ns
-     << ", \"channels\": {";
-  for (int c = 0; c < kNumChannels; ++c) {
-    const ChannelHealth& ch = h.channels[static_cast<std::size_t>(c)];
-    if (c > 0) os << ", ";
-    os << "\"" << channel_name(static_cast<ChannelId>(c))
-       << "\": {\"corrupt_cells\": " << ch.corrupt_cells
-       << ", \"checksum_failures\": " << ch.checksum_failures
-       << ", \"count_mismatches\": " << ch.count_mismatches
-       << ", \"redelivered_bytes\": " << ch.redelivered_bytes
-       << ", \"readiness_stalls\": " << ch.readiness_stalls
-       << ", \"readiness_stall_ns\": " << ch.readiness_stall_ns << "}";
-  }
-  os << "}}";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -289,7 +254,7 @@ int main(int argc, char** argv) {
            << ", \"migration_payload_bytes\": " << migration_bytes
            << ", \"label_broadcast_bytes\": " << label_bytes
            << ",\n    \"health\": ";
-      health_json(json, health);
+      json << health.json();
       json << ",\n    \"steps\": [\n" << steps_json.str() << "\n    ]}}";
       if (fault_rate > 0 || !health.clean()) {
         std::cout << "threads " << t << " health: " << health.summary()

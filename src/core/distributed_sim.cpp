@@ -104,6 +104,8 @@ DistributedSim::DistributedSim(const ImpactSim& sim,
                                               partitioner.node_partition(),
                                               k());
   }
+  gather_providers_.assign(static_cast<std::size_t>(k()), {});
+  for (idx_t r = 1; r < k(); ++r) gather_providers_[0].push_back(r);
 }
 
 std::vector<idx_t> DistributedSim::compute_repartition(
@@ -337,8 +339,10 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
   // --- Supersteps A+B in one dependency-driven run: owned kinematics +
   // halo post, then — per rank, as soon as its own halo neighbors' rows
   // commit (delivery #1) — ghost intake, local surface extraction, and the
-  // contact-point gather to rank 0. The gather commits in the driver
-  // delivery below. ---------------------------------------------------------
+  // contact-point post to rank 0. The third phase has no body: it is the
+  // gather (delivery #2), which commits rank 0's column once ranks 1..k-1
+  // closed their rows; every other rank reads nothing and passes through.
+  // ---------------------------------------------------------------------------
   const auto phase_a = [&](idx_t r) {
     if (any_death_ && death_mask_[static_cast<std::size_t>(r)]) {
       // The injected death: the rank vanishes at step entry, before any of
@@ -396,12 +400,15 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
           r, 0, ContactPointMsg{v, st.positions[static_cast<std::size_t>(v)]});
     }
   };
-  const std::array<AsyncPhase, 2> kinematics_phases = {
+  const std::array<AsyncPhase, 3> kinematics_phases = {
       AsyncPhase{.body = phase_a, .writes = channel_bit(ChannelId::kHalo)},
       AsyncPhase{.body = phase_b,
                  .reads = channel_bit(ChannelId::kHalo),
                  .writes = channel_bit(ChannelId::kCouplingForward),
                  .providers = &halo_providers_},
+      AsyncPhase{.body = [](idx_t) {},
+                 .reads = channel_bit(ChannelId::kCouplingForward),
+                 .providers = &gather_providers_},
   };
   // Injected hangs arm the executor's watchdog so a rank that never
   // publishes is declared dead instead of deadlocking the run.
@@ -410,11 +417,9 @@ void DistributedSim::run_step_spmd(idx_t s, bool migrate,
     fault_options.watchdog_deadline_ms = config_.watchdog_deadline_ms;
     fault_options.hung = hang_mask_;
   }
-  async_.run(kinematics_phases, exchange_, fault_options);  // delivery #1
+  async_.run(kinematics_phases, exchange_, fault_options);  // #1 and #2
   report.fe_exchange = exchange_.take_fe_traffic();
   report.halo_payload_bytes = exchange_.take_halo_bytes();
-
-  exchange_.deliver(channel_bit(ChannelId::kCouplingForward));  // #2
   report.coupling_exchange = exchange_.take_coupling_traffic();
   report.coupling_payload_bytes = exchange_.take_coupling_bytes();
 

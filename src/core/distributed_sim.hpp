@@ -36,11 +36,12 @@
 // enters its next phase the moment its own inbox cells commit — B waits
 // only on its halo neighbors' rows, and the descriptor/label broadcast
 // group is born closed so its per-rank wire validations spread across the
-// workers while D proceeds. The contact-point gather boundary remains a
-// driver-side delivery (rank 0's induction must run on the calling
-// thread), and the migration commit F consumes the migration channels as
-// the last phase of the second run. The per-step delivery count (4, or 5
-// with migration) and the staged-inbox commit semantics are unchanged.
+// workers while D proceeds. The contact-point gather is the bodiless third
+// phase of the first run: it commits rank 0's column from ranks 1..k-1 and
+// the run returns, so the driver can induce the tree on the calling thread
+// (C). The migration commit F consumes the migration channels as the last
+// phase of the second run. Each consumed channel group is one superstep
+// and one delivery in PipelineHealth: 4 per step, or 5 with migration.
 //
 // The pre-refactor shape survives as run_step_reference(): one centralized
 // body computing the same step on gathered global state, with all traffic
@@ -305,6 +306,9 @@ class DistributedSim {
   // inverse of the rank states' halo send lists, rebuilt per step (views
   // change on migration).
   std::vector<std::vector<idx_t>> halo_providers_;
+  // gather_providers_[dst]: ranks 1..k-1 for rank 0, none for the rest —
+  // the contact-point gather's fixed topology.
+  std::vector<std::vector<idx_t>> gather_providers_;
   std::vector<char> contact_mask_;
   std::vector<idx_t> start_owner_;   // start-of-step recovery snapshot
   std::vector<wgt_t> start_hits_;

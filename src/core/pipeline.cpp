@@ -182,8 +182,7 @@ void MlRcbPipeline::run_step_spmd(const Mesh& mesh, const Surface& surface,
 
   // --- Phases 1-3 in one dependency-driven run. Phase 1 posts halo nodes,
   // forward coupling, and the subdomain-box allgather; phase 2 consumes all
-  // three (delivery #1 — the exact channel set the first full-mask barrier
-  // delivery used to carry), returns the coupling points and ships elements;
+  // three (delivery #1), returns the coupling points and ships elements;
   // phase 3 consumes the return coupling and shipped faces (delivery #2).
   // A rank enters each phase once its own inbox cells commit. ---------------
   const auto post_phase = [&](idx_t r) {

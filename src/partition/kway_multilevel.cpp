@@ -6,14 +6,19 @@
 #include "parallel/thread_pool.hpp"
 #include "partition/coarsen.hpp"
 #include "partition/connectivity.hpp"
+#include "util/timer.hpp"
 
 namespace cpart {
 
 std::vector<idx_t> partition_graph_kway(const CsrGraph& g,
-                                        const PartitionOptions& options) {
+                                        const PartitionOptions& options,
+                                        KwayPhaseTimes* times) {
   const idx_t n = g.num_vertices();
   const idx_t k = options.k;
   require(k >= 1, "partition_graph_kway: k must be >= 1");
+  KwayPhaseTimes local_times;
+  KwayPhaseTimes& t = times != nullptr ? *times : local_times;
+  t = KwayPhaseTimes{};
   if (k == 1 || n == 0) {
     return std::vector<idx_t>(static_cast<std::size_t>(n), 0);
   }
@@ -21,6 +26,7 @@ std::vector<idx_t> partition_graph_kway(const CsrGraph& g,
   Rng rng(options.seed ^ 0x517cc1b727220a95ULL);
 
   // Coarsen the whole graph down to a small multiple of k.
+  Timer timer;
   CoarsenOptions copts;
   copts.parallel_threshold = options.coarsen_parallel_threshold;
   const idx_t coarsest_size =
@@ -33,16 +39,20 @@ std::vector<idx_t> partition_graph_kway(const CsrGraph& g,
     chain.push_back(std::move(c));
     cur = &chain.back().coarse;
   }
+  t.coarsen_ms = timer.milliseconds();
 
   // Initial k-way partition of the coarsest graph via recursive bisection.
   // A slightly tighter epsilon leaves headroom for refinement drift during
   // uncoarsening.
+  timer.reset();
   PartitionOptions init = options;
   init.epsilon = std::max(0.02, options.epsilon * 0.8);
   init.kway_passes = 0;  // the uncoarsening loop below refines anyway
   std::vector<idx_t> part = partition_graph(*cur, init);
+  t.initial_ms = timer.milliseconds();
 
   // Uncoarsen, refining at every level.
+  timer.reset();
   KwayRefineOptions refine;
   refine.k = k;
   refine.epsilon = options.epsilon;
@@ -73,6 +83,7 @@ std::vector<idx_t> partition_graph_kway(const CsrGraph& g,
       kway_refine(g, part, polish, rng);
     }
   }
+  t.refine_ms = timer.milliseconds();
   return part;
 }
 

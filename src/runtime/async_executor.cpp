@@ -86,9 +86,8 @@ bool is_rank_death(const std::exception_ptr& error) {
 }
 
 /// One channel group: the mask a consuming phase reads, delivered as one
-/// async superstep. Groups are ordered by consuming phase, and group j of a
-/// run keys its fault decisions on superstep base+j — the number the j'th
-/// deliver() barrier of the fused schedule would have used.
+/// superstep. Groups are ordered by consuming phase, and group j of a run
+/// keys its fault decisions on superstep base+j.
 struct Group {
   ChannelMask mask = 0;
   idx_t consume_phase = 0;
@@ -108,10 +107,9 @@ struct DstScratch {
 
 enum class WaitOutcome { kReady, kFailed, kExhausted };
 
-// Same bounded spin as SpmdBarrier before parking on the futex: short,
-// because oversubscribed workers spinning steal the CPU the publisher
-// needs; long enough to catch the common fast publication without a
-// syscall.
+// Bounded spin before parking on the futex: short, because
+// oversubscribed workers spinning steal the CPU the publisher needs; long
+// enough to catch the common fast publication without a syscall.
 constexpr int kSpinIterations = 128;
 
 }  // namespace
@@ -177,11 +175,11 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   const std::uint64_t base = exchange.next_superstep();
   const idx_t max_attempts = exchange.retry_policy().max_attempts;
   // With a fault injector armed, validation of each group additionally
-  // waits for every rank to complete all prior phases — the exact moment
-  // the fused schedule's barrier would deliver. This keeps the injector's
-  // (superstep, attempt, channel, src, dst) decision consumption, and in
-  // particular which group exhausts the retry budget first, bit-identical
-  // to the barrier build at any thread count. Fault-free runs (the normal
+  // waits for every rank to complete all prior phases. No group is then
+  // validated while an earlier group could still exhaust, so the
+  // injector's (superstep, attempt, channel, src, dst) decision
+  // consumption, and in particular which group exhausts the retry budget
+  // first, is the same at any thread count. Fault-free runs (the normal
   // case) skip the gate entirely and overlap freely.
   const bool gated = exchange.fault_injector() != nullptr;
 
@@ -201,7 +199,7 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
 
   // Groups whose channels were fully posted before the run are born
   // closed: their per-destination validations start immediately and spread
-  // across the workers — the former serial section of the fused schedule.
+  // across the workers.
   for (idx_t g = 0; g < G; ++g) {
     if (groups[static_cast<std::size_t>(g)].close_phase >= 0) continue;
     rows_closed[static_cast<std::size_t>(g)].store(k_,
@@ -266,13 +264,12 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
   };
 
   // Full per-cell validation of destination r's column of group g: every
-  // (channel, src, r) cell gets its own retry loop with the barrier-exact
-  // injector keys (attempt numbers 0..), then the column commits atomically
-  // from r's point of view (inbox assembled in ascending source order).
-  // Empty cells — every cell outside the provider topology — validate
-  // trivially without consuming an injector decision, exactly as in the
-  // barrier loop. Returns false when any cell exhausted the budget (the
-  // column is then left uncommitted).
+  // (channel, src, r) cell gets its own retry loop (attempt numbers 0..),
+  // then the column commits atomically from r's point of view (inbox
+  // assembled in ascending source order). Empty cells — every cell outside
+  // the provider topology — validate trivially without consuming an
+  // injector decision. Returns false when any cell exhausted the budget
+  // (the column is then left uncommitted).
   const auto validate_and_commit = [&](idx_t g, idx_t r,
                                        DstScratch& s) -> bool {
     const Group& grp = groups[static_cast<std::size_t>(g)];
@@ -385,9 +382,9 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
         if (hung_of(r)) continue;
         idx_t ex = exhausted.load(std::memory_order_acquire);
         // After an exhaustion, the only remaining work is draining the
-        // exhausting group's validation (below) so the detection counters
-        // match the barrier build; everything else unwinds. Under the
-        // gate no worker can still be at an earlier phase at this point.
+        // exhausting group's validation (below) so every column of it is
+        // counted; everything else unwinds. Under the gate no worker can
+        // still be at an earlier phase at this point.
         if (ex != kNoGroup && g != ex) return;
         // A rank failure at phase p_fail completes phase p_fail for every
         // rank (BSP semantics), then later phases unwind.
@@ -453,12 +450,11 @@ void AsyncExecutor::run(std::span<const AsyncPhase> phases, Exchange& exchange,
     }
   });
 
-  // Epilogue (single-threaded): fold exactly the groups the fused
-  // schedule's barriers would have delivered. A rank failure at phase
-  // p_fail keeps the groups consumed at or before p_fail; an exhaustion at
-  // group ex keeps groups 0..ex (with ex itself counted as the exhausted
-  // delivery) and takes precedence — the barrier throws at the delivery
-  // boundary, before any same-phase rank failure could exist.
+  // Epilogue (single-threaded): fold the groups the run delivered. A rank
+  // failure at phase p_fail keeps the groups consumed at or before p_fail;
+  // an exhaustion at group ex keeps groups 0..ex (with ex itself counted as
+  // the exhausted delivery) and takes precedence over any rank failure:
+  // the step degrades as a transport failure.
   const idx_t p_fail = min_failed.load(std::memory_order_acquire);
   const idx_t ex_g = exhausted.load(std::memory_order_acquire);
   const bool is_ex = ex_g != kNoGroup;

@@ -1,13 +1,9 @@
-// Dependency-driven rank execution: channel-granular async supersteps.
+// Dependency-driven rank execution: channel-granular supersteps.
 //
-// A barrier schedule separates consecutive rank phases with a full
-// SpmdBarrier whose winner delivers whole channels in a serial section —
-// every rank waits for every other rank at every phase boundary, even for
-// channels it does not read. AsyncExecutor replaces that schedule with
-// dependency-driven execution: each phase declares the ChannelMask it
-// reads and the mask it writes, and a rank starts its next phase the moment
-// *its own* inbox cells for the channels that phase reads have been
-// committed. There is no global barrier inside a run:
+// Each phase declares the ChannelMask it reads and the mask it writes, and
+// a rank starts its next phase the moment *its own* inbox cells for the
+// channels that phase reads have been committed. There is no global
+// barrier inside a run:
 //
 //   * Publication is per (channel-group, source-rank) row: when a rank
 //     finishes the last phase that writes into a group, its outbox row is
@@ -17,35 +13,44 @@
 //     per-destination commit — so a rank consuming halo from 3 neighbors
 //     does not wait for the other k-4 (pass an exact provider list to wait
 //     on just those rows; without one the rank waits for all k rows).
-//   * Quiescence is established by a termination detector, not a barrier:
-//     per-group closed-row counters against the sent-row total, plus a
-//     monotone epoch word waiters park on (spin-then-futex, the SpmdBarrier
-//     idiom). A group is quiescent for rank r once every row r consumes is
-//     closed; the run is quiescent when every phase completed or an abort
-//     (rank failure, retry-budget exhaustion) was published on the epoch.
+//   * Quiescence is established by a termination detector: per-group
+//     closed-row counters against the sent-row total, plus a monotone epoch
+//     word waiters park on (bounded spin, then futex). A group is quiescent
+//     for rank r once every row r consumes is closed; the run is quiescent
+//     when every phase completed or an abort (rank failure, retry-budget
+//     exhaustion) was published on the epoch.
 //   * Slow serial sections overlap with phases that do not depend on them:
 //     a group whose channels were posted before the run (the rank-0
 //     descriptor broadcast, the migration label batch) is born closed, so
-//     its k per-destination validations — the former serial section —
-//     spread across the workers while independent phases proceed.
+//     its k per-destination validations spread across the workers while
+//     independent phases proceed.
+//
+// The group contract. The mask a phase reads is one group, and each group
+// is one superstep: group j of a run is superstep base+j, where base is
+// Exchange::next_superstep() at entry. Every (channel, src, dst) cell of a
+// group gets its own retry loop; attempt a of a cell is made only after
+// attempts 0..a-1 failed, and keys its injector decision on (channel,
+// superstep, a, src, dst). Empty cells validate without a decision. The
+// run folds each group into the exchange as one delivery whose passes are
+// min(1 + the worst per-cell failure count, max_attempts), with passes-1
+// retries and their backoff (Exchange::async_fold_group). A group with a
+// cell still corrupt after max_attempts is exhausted: it counts one
+// exhausted delivery, the step is aborted, and the run throws
+// TransportError naming the group's superstep and its corrupt cells.
 //
 // Determinism: commit assembles each inbox in ascending source order at
-// consumption time, so results never depend on arrival order. The fault
-// schedule is preserved exactly: per-cell validation keys injector
-// decisions on (channel, superstep, attempt, src, dst) — the barrier
-// build's exact tuple, with group j of a run numbered superstep base+j —
-// and when an injector is armed, group validation additionally gates on
-// completion of all prior phases, so detection counters, retry accounting,
-// and budget exhaustion stay bit-identical to the barrier schedule at any
-// thread count. Health accounting folds per-group, as if one
-// deliver(mask) had run per group (see Exchange::async_fold_group);
-// readiness waits are counted as per-channel stalls in PipelineHealth.
+// consumption time, so results never depend on arrival order. When an
+// injector is armed, validation of group j additionally waits until every
+// rank completed every phase before the consuming one, so which group
+// exhausts the budget first — and with it every detection counter — is
+// the same at any thread count. Readiness waits are counted as
+// per-channel stalls in PipelineHealth.
 //
 // Failure semantics match ThreadPool::parallel_tasks: every rank completes
 // the earliest failing phase before the run unwinds (later-phase work is
 // discarded), a single failing rank rethrows its original exception,
 // several aggregate into ParallelGroupError, and an exhausted retry budget
-// aborts the step and throws the barrier-identical TransportError.
+// aborts the step and throws TransportError.
 #pragma once
 
 #include <functional>
@@ -89,15 +94,16 @@ struct AsyncPhase {
   ChannelMask reads = 0;
   /// Channels this phase's bodies post into (send/broadcast). A written
   /// channel read by a later phase of the same run commits inside the run;
-  /// one read by no phase stays staged for a driver-side deliver() after
-  /// the run (the rank-0 contact gather pattern).
+  /// one read by no phase stays in its outboxes for a later run. A gather
+  /// is a bodiless phase that reads the channel, with a provider list that
+  /// names the senders for the root and no one for the other ranks.
   ChannelMask writes = 0;
   /// Optional exact provider topology for `reads`: providers[dst] lists
   /// every source rank that may post to dst on any channel of the mask.
   /// Lets dst proceed once just those rows are closed (neighbor-granular
   /// delivery). nullptr = any rank may post, wait for all k rows. Ignored
   /// while a fault injector is armed (validation then gates on full phase
-  /// completion to keep the fault schedule barrier-identical).
+  /// completion so the fault schedule is thread-count independent).
   const std::vector<std::vector<idx_t>>* providers = nullptr;
 };
 

@@ -8,19 +8,21 @@
 // through channels, and VirtualCluster sits underneath as the transport:
 // the per-processor traffic matrices fall out of carrying the messages.
 //
-// Execution model is BSP: during a superstep every rank writes only its own
-// outbox row of each channel (rank-private cells — no locks), then the
-// step driver calls Exchange::deliver() as the barrier, which routes every
-// cell into the destination inboxes in ascending source order (the
-// deterministic delivery order) and charges the phase clusters.
+// Execution model: during a superstep every rank writes only its own
+// outbox row of each channel (rank-private cells — no locks). Delivery is
+// per destination: AsyncExecutor validates each (channel, src, dst) cell a
+// consuming rank reads, then commits that rank's inbox column in ascending
+// source order (the deterministic delivery order) and charges the phase
+// clusters. The channels one phase reads form a group, and each group is
+// one superstep.
 //
 // The transport does not trust the wire. Every cell is framed (message
 // count) and checksummed (FNV-1a over the logical wire fields) at send
-// time; deliver() validates both before anything reaches an inbox. Corrupt
+// time; validation checks both before anything reaches an inbox. Corrupt
 // cells — whether injected by a seeded FaultInjector or caused by genuine
 // memory corruption — are re-staged from the retained outbox and
-// re-delivered with bounded retries and exponential backoff; only when the
-// budget is exhausted does deliver() throw TransportError, which the
+// re-validated with bounded retries and exponential backoff; a cell still
+// corrupt after the budget makes the run throw TransportError, which the
 // pipelines catch to degrade the step to the centralized reference path.
 // All detection and recovery activity is counted in PipelineHealth.
 #pragma once
@@ -360,9 +362,9 @@ inline bool fault_truncate_payload(ElementMigrateMsg&, std::uint64_t) {
 // Errors and retry policy
 // ---------------------------------------------------------------------------
 
-/// Thrown by Exchange::deliver() when a superstep's delivery still has
-/// corrupt cells after the full retry budget. The pipelines catch it and
-/// complete the step through the centralized reference path.
+/// Thrown by AsyncExecutor::run when a group still has corrupt cells after
+/// the full retry budget. The pipelines catch it and complete the step
+/// through the centralized reference path.
 class TransportError : public std::runtime_error {
  public:
   TransportError(const std::string& msg, std::uint64_t superstep,
@@ -383,12 +385,12 @@ class TransportError : public std::runtime_error {
 };
 
 struct RetryPolicy {
-  /// Total delivery attempts per superstep (first try + retries).
+  /// Total validation attempts per cell (first try + retries).
   idx_t max_attempts = 4;
   /// Exponential backoff base applied between attempts; always recorded in
-  /// PipelineHealth::backoff_ms, actually slept only when sleep_on_backoff
-  /// (the in-process transport has no congestion to wait out, so tests and
-  /// benches keep it off).
+  /// PipelineHealth::backoff_ms. Only the checkpoint store actually sleeps
+  /// it, and only when sleep_on_backoff: the in-process exchange has no
+  /// congestion to wait out, so it records the backoff without sleeping.
   double backoff_base_ms = 0.5;
   bool sleep_on_backoff = false;
 
@@ -424,11 +426,11 @@ struct SourceRange {
 /// send() may be called concurrently by different source ranks: the outbox
 /// cells are indexed (from, to), and rank r only ever writes row r. Each
 /// cell carries a frame (message count + running FNV-1a checksum) built at
-/// send time. Delivery is two-phase and runs on the step driver between
-/// supersteps: attempt_deliver() stages each pending cell onto the "wire"
+/// send time. Delivery is two-phase and per destination:
+/// attempt_deliver_cell() stages one pending cell onto the "wire"
 /// (optionally corrupted by a FaultInjector) and validates it against the
 /// frame — the outbox is retained until its cell validates, so corrupt
-/// cells can be re-staged; commit() then assembles the inboxes from the
+/// cells can be re-staged; commit_dst() then assembles one inbox from the
 /// validated cells in ascending source order and charges the transport.
 template <typename T>
 class TypedChannel {
@@ -469,33 +471,15 @@ class TypedChannel {
     }
   }
 
-  /// One delivery attempt: stages every pending cell onto the wire (through
-  /// `injector` when non-null — the wire copy may be corrupted, the outbox
-  /// stays pristine), recomputes count + checksum, and marks cells that
-  /// validate. Returns the number of cells that failed validation this
-  /// attempt; detection counters accumulate into `health`.
-  idx_t attempt_deliver(FaultInjector* injector, ChannelId id,
-                        std::uint64_t superstep, idx_t attempt,
-                        PipelineHealth& health) {
-    idx_t corrupt = 0;
-    for (idx_t from = 0; from < k_; ++from) {
-      for (idx_t to = 0; to < k_; ++to) {
-        if (!attempt_deliver_cell(injector, id, superstep, attempt, from, to,
-                                  health)) {
-          ++corrupt;
-        }
-      }
-    }
-    return corrupt;
-  }
-
-  /// One validation attempt of the single (from, to) cell — the identical
-  /// staging/validation body attempt_deliver() runs, with the identical
-  /// (channel, superstep, attempt, from, to) injector decision key, so the
-  /// async executor's per-cell retry loops consume the exact fault schedule
-  /// the barrier loop would. Returns true when the cell is staged OK (empty
-  /// cells validate trivially). Safe to call concurrently for distinct
-  /// cells; `health` is whatever scratch the caller owns.
+  /// One validation attempt of the single (from, to) cell: stages it onto
+  /// the wire (through `injector` when non-null — the wire copy may be
+  /// corrupted, the outbox stays pristine), recomputes count + checksum, and
+  /// marks the cell when it validates. The injector decision is keyed on
+  /// (channel, superstep, attempt, from, to), so the fault schedule is a
+  /// pure function of those five values. Returns true when the cell is
+  /// staged OK (empty cells validate trivially and consume no decision).
+  /// Safe to call concurrently for distinct cells; detection counters
+  /// accumulate into `health`, whatever scratch the caller owns.
   bool attempt_deliver_cell(FaultInjector* injector, ChannelId id,
                             std::uint64_t superstep, idx_t attempt, idx_t from,
                             idx_t to, PipelineHealth& health) {
@@ -542,18 +526,6 @@ class TypedChannel {
     return false;
   }
 
-  /// Barrier second half, called once every cell validated: replaces the
-  /// inboxes with the staged cells in ascending source order, charges
-  /// `transport` (when non-null) with `units_per_item` per message, resets
-  /// the cells, and returns the payload bytes moved.
-  wgt_t commit(VirtualCluster* transport, wgt_t units_per_item = 1) {
-    wgt_t bytes = 0;
-    for (idx_t to = 0; to < k_; ++to) {
-      bytes += commit_dst(to, transport, units_per_item);
-    }
-    return bytes;
-  }
-
   /// Per-destination commit: assembles rank `to`'s inbox from its validated
   /// staged cells in ascending source order, charges `transport`, resets
   /// the column's cells, and returns the payload bytes moved. The caller
@@ -561,8 +533,7 @@ class TypedChannel {
   /// calls for different `to` are safe: they touch disjoint cells, inboxes,
   /// source lists, and transport matrix entries (VirtualCluster::send
   /// writes only matrix[from * k + to]).
-  wgt_t commit_dst(idx_t to, VirtualCluster* transport,
-                   wgt_t units_per_item = 1) {
+  wgt_t commit_dst(idx_t to, VirtualCluster* transport) {
     wgt_t bytes = 0;
     auto& inbox = inboxes_[static_cast<std::size_t>(to)];
     auto& sources = sources_[static_cast<std::size_t>(to)];
@@ -579,7 +550,7 @@ class TypedChannel {
                      std::make_move_iterator(cell.staged.end()));
         sources.push_back({from, begin, to_idx(inbox.size())});
         if (transport != nullptr) {
-          transport->send(from, to, cell.count * units_per_item);
+          transport->send(from, to, cell.count);
         }
         bytes += cell.bytes;
       }
@@ -589,7 +560,7 @@ class TypedChannel {
   }
 
   /// Drops all pending outboxes, staged data, and inboxes (degraded-mode
-  /// cleanup after an exhausted delivery).
+  /// cleanup after an exhausted group).
   void abort() {
     for (Cell& cell : cells_) cell.reset();
     for (auto& inbox : inboxes_) inbox.clear();
@@ -686,37 +657,22 @@ class Exchange {
   void set_retry_policy(const RetryPolicy& policy);
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  /// The superstep barrier: validates and delivers the channels selected by
-  /// `mask` (outboxes -> inboxes), charging the phase clusters and
-  /// accumulating payload bytes. Channels outside the mask are untouched —
-  /// pending outboxes stay pending, last-committed inboxes stay readable —
-  /// which is what lets a phase barrier commit only the channels the next
-  /// phase reads. Corrupt cells are re-delivered from the retained outboxes
-  /// up to RetryPolicy::max_attempts; throws TransportError when the budget
-  /// is exhausted (after clearing the channels so the caller can fall back
-  /// cleanly). Every call counts as one delivery barrier regardless of the
-  /// mask, so health accounting is mask-agnostic.
-  void deliver(ChannelMask mask = kAllChannels);
-
   /// Clears every channel, the phase clusters, and the byte accumulators —
   /// but not the health counters. Used by the degraded path so the next
   /// step starts from a clean transport.
   void abort_step();
 
   // -------------------------------------------------------------------------
-  // Channel-granular async delivery (AsyncExecutor). The barrier path above
-  // and these entry points share the per-cell validation and per-destination
-  // commit bodies, so fault schedules, detection counters, traffic charges,
-  // and payload-byte accounting stay bit-identical between the two
-  // schedules. A "group" is one ChannelMask a consuming phase reads; the
-  // executor validates and commits each destination's cells independently,
-  // then folds the group's accounting here as if one deliver(mask) barrier
-  // had run.
+  // Channel-granular delivery, driven by AsyncExecutor. A "group" is the
+  // ChannelMask one consuming phase reads, and each group is one superstep.
+  // The executor validates every cell of a destination's column with its
+  // own retry loop, commits the column, and folds the group's accounting
+  // here once the run ends.
   // -------------------------------------------------------------------------
 
-  /// Superstep id the next delivery — barrier or async group — will key its
-  /// fault decisions on. Async groups of one run are numbered consecutively
-  /// from this value in group order.
+  /// Superstep id the next group will key its fault decisions on. The
+  /// groups of one run are numbered consecutively from this value in group
+  /// order.
   std::uint64_t next_superstep() const { return superstep_; }
 
   /// Rewinds (or advances) the superstep cursor. Checkpoint recovery
@@ -726,7 +682,7 @@ class Exchange {
   void set_next_superstep(std::uint64_t superstep) { superstep_ = superstep; }
 
   /// One validation attempt of the (from, to) cell of channel `id` at
-  /// (superstep, attempt) — the barrier loop's exact injector decision key.
+  /// (superstep, attempt); see TypedChannel::attempt_deliver_cell.
   /// Detection counters accumulate into `health`, a caller-private scratch
   /// folded later by async_fold_group. Returns true when the cell staged OK.
   /// Thread-safe for distinct cells.
@@ -741,16 +697,14 @@ class Exchange {
   /// Thread-safe for distinct `to`.
   void async_commit_dst(ChannelId id, idx_t to, wgt_t& bytes);
 
-  /// Accounting of one completed (or exhausted) async group, folded into
-  /// the exchange exactly as the deliver(mask) barrier would have recorded
-  /// it: one delivery; `passes` validation passes (the barrier runs
-  /// min(1 + max per-cell failures, max_attempts) passes over the group);
-  /// passes-1 retries with exponential-backoff accounting; the
-  /// per-destination detection scratches merged in ascending rank order;
-  /// and the per-destination payload bytes added to the per-channel
-  /// accumulators. Advances the superstep counter by one. When `exhausted`,
-  /// also counts the exhausted delivery — the caller then abort_step()s and
-  /// throws exhausted_error(), matching the barrier's failure sequence.
+  /// Accounting of one completed (or exhausted) group: one delivery;
+  /// `passes` validation passes, where passes = min(1 + the worst per-cell
+  /// failure count, max_attempts); passes-1 retries, each adding its
+  /// exponential backoff; the per-destination detection scratches merged in
+  /// ascending rank order; and the per-destination payload bytes added to
+  /// the per-channel accumulators. Advances the superstep counter by one.
+  /// When `exhausted`, also counts the exhausted delivery — the caller then
+  /// abort_step()s and throws exhausted_error().
   struct AsyncGroupAccounting {
     std::span<const PipelineHealth> dst_health;
     std::span<const std::array<wgt_t, kNumChannels>> dst_bytes;
@@ -759,9 +713,8 @@ class Exchange {
   };
   void async_fold_group(const AsyncGroupAccounting& acc);
 
-  /// The TransportError deliver() throws on retry-budget exhaustion, with
-  /// the identical message text — shared so the async path's degraded-mode
-  /// handling is indistinguishable from the barrier's.
+  /// The TransportError a run throws when group `superstep` exhausts the
+  /// retry budget with `corrupt_cells` cells still failing.
   static TransportError exhausted_error(std::uint64_t superstep,
                                         idx_t attempts, idx_t corrupt_cells);
 
@@ -802,7 +755,7 @@ class Exchange {
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_{};
   PipelineHealth health_{};
-  std::uint64_t superstep_ = 0;  // deliver() barriers since construction
+  std::uint64_t superstep_ = 0;  // groups folded since construction
   wgt_t descriptor_bytes_ = 0;
   wgt_t halo_bytes_ = 0;
   wgt_t face_bytes_ = 0;

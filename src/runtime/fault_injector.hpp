@@ -66,8 +66,9 @@ struct FaultConfig {
   double cell_fault_probability = 0.0;
   /// Relative weights of the fault kinds (need not sum to 1).
   std::array<double, kNumFaultKinds> kind_weights{1, 1, 1, 1, 1};
-  /// Inject only from this superstep (deliver() counter) on — lets a
-  /// schedule spare the warm-up step.
+  /// Inject only from this superstep (Exchange::next_superstep() counter,
+  /// one per delivered channel group) on — lets a schedule spare the
+  /// warm-up step.
   std::uint64_t first_superstep = 0;
   /// Per-(step, rank) probability that the rank dies this step (throws out
   /// of its phase body). Applies to incarnation 0 only — replays survive.

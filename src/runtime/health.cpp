@@ -123,4 +123,41 @@ std::string PipelineHealth::summary() const {
   return os.str();
 }
 
+std::string PipelineHealth::json() const {
+  std::ostringstream os;
+  os << "{\"deliveries\": " << deliveries
+     << ", \"attempts\": " << delivery_attempts
+     << ", \"retries\": " << retries
+     << ", \"corrupt_cells\": " << corrupt_cells
+     << ", \"checksum_failures\": " << checksum_failures
+     << ", \"count_mismatches\": " << count_mismatches
+     << ", \"redelivered_bytes\": " << redelivered_bytes
+     << ", \"exhausted_deliveries\": " << exhausted_deliveries
+     << ", \"degraded_steps\": " << degraded_steps
+     << ", \"wire_parse_failures\": " << wire_parse_failures
+     << ", \"failed_ranks\": " << failed_ranks
+     << ", \"rank_deaths\": " << rank_deaths
+     << ", \"recoveries\": " << recoveries
+     << ", \"replay_steps\": " << replay_steps
+     << ", \"checkpoints_written\": " << checkpoints_written
+     << ", \"checkpoint_write_failures\": " << checkpoint_write_failures
+     << ", \"backoff_ms\": " << backoff_ms
+     << ", \"readiness_stalls\": " << readiness_stalls
+     << ", \"readiness_stall_ns\": " << readiness_stall_ns
+     << ", \"channels\": {";
+  for (int c = 0; c < kNumChannels; ++c) {
+    const ChannelHealth& ch = channels[static_cast<std::size_t>(c)];
+    if (c > 0) os << ", ";
+    os << "\"" << channel_name(static_cast<ChannelId>(c))
+       << "\": {\"corrupt_cells\": " << ch.corrupt_cells
+       << ", \"checksum_failures\": " << ch.checksum_failures
+       << ", \"count_mismatches\": " << ch.count_mismatches
+       << ", \"redelivered_bytes\": " << ch.redelivered_bytes
+       << ", \"readiness_stalls\": " << ch.readiness_stalls
+       << ", \"readiness_stall_ns\": " << ch.readiness_stall_ns << "}";
+  }
+  os << "}}";
+  return os.str();
+}
+
 }  // namespace cpart

@@ -38,20 +38,17 @@ inline constexpr int kNumChannels = 9;
 /// Stable lowercase name ("descriptors", "halo", ...) for reports and JSON.
 const char* channel_name(ChannelId id);
 
-/// Channel subset selector for Exchange::deliver(mask): per-channel
-/// delivery lets a phase barrier validate and commit only the channels the
-/// next phase actually reads, so ranks holding their halo/faces proceed
+/// Channel subset selector: the channels an AsyncPhase reads or writes. The
+/// mask a phase reads is one delivery group — validated and committed per
+/// destination as one superstep — so a rank holding its halo/faces proceeds
 /// without synchronizing on (say) the descriptor broadcast. Channels
-/// outside the mask keep their pending outboxes and their last-committed
+/// outside the group keep their pending outboxes and their last-committed
 /// inboxes untouched.
 using ChannelMask = std::uint32_t;
 
 inline constexpr ChannelMask channel_bit(ChannelId id) {
   return ChannelMask{1} << static_cast<int>(id);
 }
-
-inline constexpr ChannelMask kAllChannels =
-    (ChannelMask{1} << kNumChannels) - 1;
 
 /// Detection counters of one typed channel.
 struct ChannelHealth {
@@ -75,10 +72,11 @@ struct ChannelHealth {
 };
 
 /// Transport + recovery counters of one pipeline step (or, summed, of a
-/// whole run). "Delivery" is one Exchange::deliver() barrier; "attempt" is
-/// one validation pass over its pending cells.
+/// whole run). "Delivery" is one channel group, delivered as one superstep;
+/// its "attempts" are its validation passes — 1 + the worst per-cell failure
+/// count, capped at the retry budget.
 struct PipelineHealth {
-  wgt_t deliveries = 0;           // deliver() barriers entered
+  wgt_t deliveries = 0;           // channel groups delivered (or exhausted)
   wgt_t delivery_attempts = 0;    // validation passes (>= deliveries)
   wgt_t retries = 0;              // re-delivery attempts after corruption
   wgt_t corrupt_cells = 0;        // sum over channels
@@ -131,6 +129,9 @@ struct PipelineHealth {
 
   /// One-line human summary ("3 deliveries, 0 corrupt cells, ...").
   std::string summary() const;
+  /// Every counter as one JSON object, with a "channels" object keyed by
+  /// channel_name() — the form the bench artifacts record.
+  std::string json() const;
 };
 
 }  // namespace cpart

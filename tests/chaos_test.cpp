@@ -18,6 +18,7 @@
 #include "core/distributed_sim.hpp"
 #include "core/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/async_executor.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sim/impact_sim.hpp"
@@ -53,6 +54,14 @@ FaultConfig only_kind(FaultKind kind, std::uint64_t seed = 3) {
   fc.kind_weights = {};
   fc.kind_weights[static_cast<std::size_t>(static_cast<int>(kind))] = 1.0;
   return fc;
+}
+
+/// Delivers `reads` through a one-phase AsyncExecutor run with an empty
+/// body. The caller posts before the run, so the group is born closed; it
+/// is one superstep, and throws TransportError when it exhausts the budget.
+void deliver_group(Exchange& ex, ChannelMask reads) {
+  const AsyncPhase phase{.body = [](idx_t) {}, .reads = reads};
+  AsyncExecutor(ex.num_ranks()).run({&phase, 1}, ex);
 }
 
 std::vector<HaloNodeMsg> halo_inbox_payload(idx_t base) {
@@ -96,7 +105,8 @@ TEST(Exchange, EveryFaultKindIsDetectedAndClassified) {
     ex.set_retry_policy({.max_attempts = 1});
     for (const HaloNodeMsg& m : halo_inbox_payload(0)) ex.halo().send(0, 1, m);
     for (const HaloNodeMsg& m : halo_inbox_payload(9)) ex.halo().send(2, 1, m);
-    EXPECT_THROW(ex.deliver(), TransportError)
+    EXPECT_THROW(deliver_group(ex, channel_bit(ChannelId::kHalo)),
+                 TransportError)
         << fault_kind_name(static_cast<FaultKind>(kind));
     const PipelineHealth h = ex.take_health();
     EXPECT_EQ(h.corrupt_cells, injector.stats().faults_injected);
@@ -122,7 +132,7 @@ TEST(Exchange, EveryFaultKindIsDetectedAndClassified) {
     EXPECT_TRUE(ex.halo().inbox(1).empty());
     ex.set_fault_injector(nullptr);
     for (const HaloNodeMsg& m : halo_inbox_payload(0)) ex.halo().send(0, 1, m);
-    ex.deliver();
+    deliver_group(ex, channel_bit(ChannelId::kHalo));
     EXPECT_EQ(ex.halo().inbox(1).size(), 3u);
     EXPECT_TRUE(ex.take_health().clean());
   }
@@ -134,7 +144,8 @@ TEST(Exchange, PayloadTruncationOnDescriptorWireIsDetected) {
   ex.set_fault_injector(&injector);
   ex.set_retry_policy({.max_attempts = 1});
   ex.descriptors().send(0, 1, DescriptorTreeMsg{"cparttree 1\n0 -1\n"});
-  EXPECT_THROW(ex.deliver(), TransportError);
+  EXPECT_THROW(deliver_group(ex, channel_bit(ChannelId::kDescriptors)),
+               TransportError);
   const PipelineHealth h = ex.take_health();
   // A variable-length message truncates its own payload: same message
   // count, different bytes -> checksum failure, not framing.
@@ -159,7 +170,8 @@ TEST(Exchange, RetryRedeliversPristinePayloadWithinBudget) {
   for (int step = 0; step < 64; ++step) {
     const wgt_t before = injector.stats().faults_injected;
     for (const HaloNodeMsg& m : payload) ex.halo().send(0, 1, m);
-    ex.deliver();  // must never throw at this budget
+    // Must never throw at this budget.
+    deliver_group(ex, channel_bit(ChannelId::kHalo));
     if (injector.stats().faults_injected > before) ++supersteps_with_faults;
     // Whatever the schedule did, the inbox is the pristine outbox.
     const auto& in = ex.halo().inbox(1);
@@ -184,7 +196,7 @@ TEST(Exchange, SelfSendsAreNeverFaulted) {
   ex.set_fault_injector(&injector);
   ex.set_retry_policy({.max_attempts = 1});
   ex.halo().send(0, 0, HaloNodeMsg{1, {}});  // dropped as local data
-  ex.deliver();
+  deliver_group(ex, channel_bit(ChannelId::kHalo));
   EXPECT_EQ(injector.stats().faults_injected, 0);
   EXPECT_TRUE(ex.take_health().clean());
 }

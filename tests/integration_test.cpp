@@ -40,13 +40,22 @@ TEST(Integration, HeadlineClaimMcmlDtNeedsLessTotalCommunication) {
 TEST(Integration, MlRcbWinsFeCommAlone) {
   // Second structural claim: the single-constraint FE partition of ML+RCB
   // has a lower communication volume than the two-constraint partition
-  // (Table 1: 23961 < 28101 at 25-way).
-  ExperimentConfig config;
-  config.sim = small_sim();
-  config.k = 8;
-  config.snapshot_stride = 4;
-  const ExperimentResult r = run_contact_experiment(config);
-  EXPECT_LT(r.ml_rcb.fe_comm, r.mcml_dt.fe_comm);
+  // (Table 1: 23961 < 28101 at 25-way). The claim is about the two schemes,
+  // not one partitioner seed, so the means over seeds 1-8 are compared.
+  constexpr int kSeeds = 8;
+  double ml_rcb = 0;
+  double mcml_dt = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    ExperimentConfig config;
+    config.sim = small_sim();
+    config.k = 8;
+    config.snapshot_stride = 4;
+    config.seed = static_cast<std::uint64_t>(seed);
+    const ExperimentResult r = run_contact_experiment(config);
+    ml_rcb += r.ml_rcb.fe_comm;
+    mcml_dt += r.mcml_dt.fe_comm;
+  }
+  EXPECT_LT(ml_rcb / kSeeds, mcml_dt / kSeeds);
 }
 
 TEST(Integration, BothPhasesBalancedByMcmlDt) {

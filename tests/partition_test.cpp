@@ -523,6 +523,22 @@ TEST(DirectKway, MultiConstraintBalance) {
   EXPECT_LE(load_imbalance(g, part, 6, 1), 1.11);
 }
 
+TEST(DirectKway, PhaseTimesReportOnly) {
+  // The phase timers must not change what the partitioner computes.
+  const CsrGraph g = make_grid_graph_3d(16, 16, 16);
+  PartitionOptions opts;
+  opts.k = 16;
+  opts.seed = 5;
+  KwayPhaseTimes times;
+  times.coarsen_ms = -1;  // overwritten by the call
+  const auto timed = partition_graph_kway(g, opts, &times);
+  EXPECT_EQ(timed, partition_graph_kway(g, opts));
+  EXPECT_GE(times.coarsen_ms, 0.0);
+  EXPECT_GE(times.initial_ms, 0.0);
+  EXPECT_GE(times.refine_ms, 0.0);
+  EXPECT_GT(times.total_ms(), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Repartitioning
 // ---------------------------------------------------------------------------
